@@ -1,20 +1,20 @@
-//! Benchmarks of the dense counts-based engine: the million-agent regime the
-//! per-agent engine cannot reach, plus a head-to-head round cost at a size
-//! both engines handle.  `dense_engine/*` entries are hot-path gated by
+//! Benchmarks of the counts engine: the million-agent regime the per-agent
+//! engine cannot reach, on one stratum, two strata, and as the bulk of the
+//! hybrid engine.  `dense_engine/*` entries are hot-path gated by
 //! `bench/baseline.json` (see `src/bin/bench_gate.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flip_model::{
-    BinarySymmetricChannel, DenseSimulation, HybridSimulation, MajoritySamplerProtocol, RumorAgent,
-    RumorProtocol, SimulationConfig, StratifiedPopulation, StratifiedSimulation,
-    ZealotRumorProtocol,
+    BinarySymmetricChannel, HybridSimulation, MajoritySamplerProtocol, RumorAgent, RumorProtocol,
+    SimulationConfig, StratifiedPopulation, StratifiedSimulation, ZealotRumorProtocol,
 };
 
-fn rumor_sim(n: u64, seed: u64) -> DenseSimulation<RumorProtocol, BinarySymmetricChannel> {
+fn rumor_sim(n: u64, seed: u64) -> StratifiedSimulation<RumorProtocol, BinarySymmetricChannel> {
     let population = RumorProtocol::population(n, 0, n / 1_000);
     let channel = BinarySymmetricChannel::from_epsilon(0.2).expect("valid epsilon");
     let config = SimulationConfig::new(n as usize).with_seed(seed);
-    DenseSimulation::new(RumorProtocol, channel, population, config).expect("valid simulation")
+    StratifiedSimulation::single(RumorProtocol, channel, population, config)
+        .expect("valid simulation")
 }
 
 fn dense_engine(c: &mut Criterion) {
@@ -47,7 +47,7 @@ fn dense_engine(c: &mut Criterion) {
             let population = sampler.population(490_000, 510_000);
             let channel = BinarySymmetricChannel::from_epsilon(0.3).expect("valid epsilon");
             let config = SimulationConfig::new(1_000_000).with_seed(3);
-            let mut sim = DenseSimulation::new(sampler, channel, population, config)
+            let mut sim = StratifiedSimulation::single(sampler, channel, population, config)
                 .expect("valid simulation");
             sim.run(23 * 10);
             sim.census().holding(flip_model::Opinion::One)

@@ -1,4 +1,4 @@
-//! Selection between the per-agent, dense, and hybrid simulation engines.
+//! Selection between the per-agent, counts, and hybrid simulation engines.
 
 use std::fmt;
 use std::str::FromStr;
@@ -15,11 +15,11 @@ pub const DEFAULT_HYBRID_TRACKED: u32 = 16;
 /// * [`Backend::Agents`] — the per-agent [`Simulation`](crate::Simulation):
 ///   one state machine object per agent, exact collision resolution, per-agent
 ///   traces.  The reference semantics; practical up to `n ≈ 10⁴–10⁵`.
-/// * [`Backend::Dense`] — the counts-based
-///   [`DenseSimulation`](crate::DenseSimulation) /
-///   [`StratifiedSimulation`](crate::StratifiedSimulation): `O(#strata ×
-///   #states)` per round, distributionally equivalent at the population
-///   level; practical to `n = 10⁷` and beyond.
+/// * [`Backend::Dense`] — the counts engine,
+///   [`StratifiedSimulation`](crate::StratifiedSimulation) (one stratum for
+///   a homogeneous population): `O(#strata × #states)` per round,
+///   distributionally equivalent at the population level; practical to
+///   `n = 10⁷` and beyond.
 /// * [`Backend::Hybrid`] — the [`HybridSimulation`](crate::HybridSimulation):
 ///   `k` tracked agents simulated exactly (per-message channel noise,
 ///   per-agent state) against a dense bulk, exchanging aggregate send counts
@@ -43,7 +43,7 @@ pub enum Backend {
     /// The per-agent reference engine.
     #[default]
     Agents,
-    /// The dense counts-based engine (stratified under the hood).
+    /// The counts engine.
     Dense,
     /// The hybrid engine: this many tracked agents against a dense bulk.
     Hybrid(u32),

@@ -26,7 +26,7 @@ pub trait Channel {
         0.5 - self.crossover()
     }
 
-    /// The *expected* per-message flip probability, used by the dense engine
+    /// The *expected* per-message flip probability, used by the counts engine
     /// to sample aggregate flip counts.  Defaults to [`crossover`]
     /// (exact for channels with a fixed flip rate); channels whose noise
     /// varies per message must override it with the mean rate.

@@ -1,51 +1,28 @@
-//! The dense, counts-based population engine.
+//! Homogeneous populations for the counts engine.
 //!
-//! The per-agent [`Simulation`](crate::Simulation) stores one heap object per
-//! agent and dispatches trait calls per agent per round, which caps practical
-//! experiments near `n ≈ 10⁴`.  The paper's claims, however, are asymptotic in
-//! `n`; reaching the `n = 10⁶–10⁷` regime needs an engine whose per-round cost
-//! is independent of `n`.
-//!
-//! This module provides that engine.  A homogeneous population is represented
-//! as packed per-state **counts** ([`DensePopulation`]) — a protocol is a
-//! finite state machine over a small state space ([`DenseProtocol`]) and a
-//! round is executed by sampling **aggregate transition counts**: one binomial
-//! draw per (state, received-symbol) cell via the vendored
-//! [`rand::distributions::Binomial`], so a round costs `O(#states)` instead of
-//! `O(n)`.  [`OpinionBitmap`] complements the counts with a bit-packed
-//! struct-of-arrays opinion/activity view for seeding populations from
-//! explicit per-agent assignments and for cheap whole-population censuses.
-//!
-//! # Exactness
-//!
-//! Sends, channel noise and state transitions are sampled from their exact
-//! aggregate distributions.  The one approximation is collision resolution:
-//! the per-agent engine throws `M` messages into mailboxes chosen uniformly
-//! among each sender's `n − 1` peers and keeps one per non-empty mailbox (an
-//! occupancy process with mild negative correlation between mailboxes and
-//! no self-delivery), while the dense engine lets every agent receive
-//! independently with the occupancy marginal `p = 1 − (1 − 1/(n−1))^M`.
-//! Per-round means agree with the per-agent engine up to `O(1/n)` relative
-//! error (the self-exclusion term a sender's own message contributes) and
-//! fluctuations agree to `O(1)`; the two backends are therefore
-//! *distributionally equivalent* for population-level statistics (and exactly
-//! equal in every degenerate case where the dynamics are deterministic — see
-//! `tests/dense_equivalence.rs`).
+//! A homogeneous, anonymous population is fully described by how many
+//! agents sit in each state of a small state machine.  [`DenseProtocol`] is
+//! that machine and [`DensePopulation`] holds the packed per-state counts.
+//! They are the one-stratum case of the counts engine,
+//! [`StratifiedSimulation`](crate::StratifiedSimulation): every dense
+//! protocol is a one-stratum [`StratifiedProtocol`](crate::StratifiedProtocol)
+//! through a blanket impl, and
+//! [`StratifiedSimulation::single`](crate::StratifiedSimulation::single)
+//! runs a dense population in `O(#states)` binomial draws per round instead
+//! of `O(n)` agent updates.  See the [`stratified`](crate::StratifiedSimulation)
+//! module docs for the engine's exactness contract.
 //!
 //! # Example
 //!
 //! ```
-//! use flip_model::{
-//!     BinarySymmetricChannel, DensePopulation, DenseSimulation, RumorProtocol,
-//!     SimulationConfig,
-//! };
+//! use flip_model::{BinarySymmetricChannel, RumorProtocol, SimulationConfig, StratifiedSimulation};
 //!
 //! # fn main() -> Result<(), flip_model::FlipError> {
 //! // One million agents, one thousand informed: far beyond the per-agent engine.
 //! let population = RumorProtocol::population(1_000_000, 0, 1_000);
 //! let channel = BinarySymmetricChannel::from_epsilon(0.3)?;
 //! let config = SimulationConfig::new(1_000_000).with_seed(7);
-//! let mut sim = DenseSimulation::new(RumorProtocol, channel, population, config)?;
+//! let mut sim = StratifiedSimulation::single(RumorProtocol, channel, population, config)?;
 //! sim.run(100);
 //! assert!(sim.census().active() > 990_000);
 //! # Ok(())
@@ -53,17 +30,12 @@
 //! ```
 
 use crate::agent::Round;
-use crate::channel::Channel;
-use crate::config::SimulationConfig;
-use crate::engine::RoundSummary;
 use crate::error::FlipError;
-use crate::metrics::Metrics;
 use crate::opinion::Opinion;
 use crate::population::Census;
-use crate::stratified::{StratifiedPopulation, StratifiedSimulation};
 
 /// A protocol expressed as a finite state machine over a small state space,
-/// runnable by [`DenseSimulation`] in `O(#states)` per round.
+/// runnable by the counts engine in `O(#states)` per round.
 ///
 /// States are indices in `0..state_count()`.  All agents in the same state are
 /// interchangeable (the population is homogeneous and anonymous), which is
@@ -114,7 +86,7 @@ pub struct DensePopulation {
 }
 
 impl DensePopulation {
-    /// Builds one stratum of a [`StratifiedPopulation`] from raw counts,
+    /// Builds one stratum of a [`StratifiedPopulation`](crate::StratifiedPopulation) from raw counts,
     /// skipping the two-agent minimum: individual strata may be empty; only
     /// the stratified total is subject to the push-gossip size floor.
     pub(crate) fn stratum_from_counts(counts: Vec<u64>) -> Self {
@@ -134,36 +106,6 @@ impl DensePopulation {
             return Err(FlipError::PopulationTooSmall { n: n as usize });
         }
         Ok(Self { counts, n })
-    }
-
-    /// Builds a population from a bit-packed per-agent view, mapping each
-    /// agent's `(active, opinion)` pair to a state via `state_for`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlipError::PopulationTooSmall`] for bitmaps with fewer than
-    /// two agents, or [`FlipError::InvalidParameter`] if `state_for` returns
-    /// an index at or above `state_count`.
-    pub fn from_bitmap<F>(
-        bitmap: &OpinionBitmap,
-        state_count: usize,
-        state_for: F,
-    ) -> Result<Self, FlipError>
-    where
-        F: Fn(Option<Opinion>) -> usize,
-    {
-        let mut counts = vec![0u64; state_count];
-        for idx in 0..bitmap.len() {
-            let state = state_for(bitmap.get(idx));
-            if state >= state_count {
-                return Err(FlipError::InvalidParameter {
-                    name: "state_for",
-                    message: format!("mapped agent {idx} to state {state} >= {state_count}"),
-                });
-            }
-            counts[state] += 1;
-        }
-        Self::from_counts(counts)
     }
 
     /// Total number of agents.
@@ -197,245 +139,13 @@ impl DensePopulation {
     }
 }
 
-/// A bit-packed per-agent opinion/activity view (struct of arrays).
-///
-/// Two parallel bit vectors store, for each agent, whether it is active
-/// (holds an opinion) and which opinion it holds; an inactive agent's opinion
-/// bit is meaningless and kept at zero.  At 2 bits per agent — a quarter of a
-/// niche-optimized `Vec<Option<Opinion>>`'s byte per agent — a 10⁷-agent view
-/// costs 2.5 MB and censuses run at popcount speed.
-///
-/// # Example
-///
-/// ```
-/// use flip_model::{Opinion, OpinionBitmap};
-///
-/// let mut bitmap = OpinionBitmap::new(100);
-/// bitmap.set(3, Some(Opinion::One));
-/// bitmap.set(64, Some(Opinion::Zero));
-/// assert_eq!(bitmap.get(3), Some(Opinion::One));
-/// assert_eq!(bitmap.get(0), None);
-/// let census = bitmap.census();
-/// assert_eq!(census.active(), 2);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpinionBitmap {
-    active_bits: Vec<u64>,
-    opinion_bits: Vec<u64>,
-    len: usize,
-}
-
-impl OpinionBitmap {
-    /// Creates a bitmap of `len` inactive agents.
-    #[must_use]
-    pub fn new(len: usize) -> Self {
-        let words = len.div_ceil(64);
-        Self {
-            active_bits: vec![0; words],
-            opinion_bits: vec![0; words],
-            len,
-        }
-    }
-
-    /// Number of agents in the view.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the view is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Sets agent `idx`'s opinion (`None` deactivates it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= len()`.
-    pub fn set(&mut self, idx: usize, opinion: Option<Opinion>) {
-        assert!(
-            idx < self.len,
-            "agent index {idx} out of range {}",
-            self.len
-        );
-        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
-        match opinion {
-            Some(op) => {
-                self.active_bits[word] |= bit;
-                if op == Opinion::One {
-                    self.opinion_bits[word] |= bit;
-                } else {
-                    self.opinion_bits[word] &= !bit;
-                }
-            }
-            None => {
-                self.active_bits[word] &= !bit;
-                self.opinion_bits[word] &= !bit;
-            }
-        }
-    }
-
-    /// Agent `idx`'s opinion, or `None` if it is inactive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx >= len()`.
-    #[must_use]
-    pub fn get(&self, idx: usize) -> Option<Opinion> {
-        assert!(
-            idx < self.len,
-            "agent index {idx} out of range {}",
-            self.len
-        );
-        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
-        if self.active_bits[word] & bit == 0 {
-            None
-        } else {
-            Some(Opinion::from_bit(u8::from(
-                self.opinion_bits[word] & bit != 0,
-            )))
-        }
-    }
-
-    /// A census of the view, computed with word-level popcounts.
-    #[must_use]
-    pub fn census(&self) -> Census {
-        let mut ones = 0usize;
-        let mut active = 0usize;
-        for (a, o) in self.active_bits.iter().zip(&self.opinion_bits) {
-            // Inactive agents' opinion bits are kept at zero, so masking with
-            // the activity word is redundant but cheap insurance.
-            ones += (a & o).count_ones() as usize;
-            active += a.count_ones() as usize;
-        }
-        Census::from_counts(active - ones, ones, self.len)
-    }
-}
-
-/// A synchronous Flip-model simulation over per-state counts.
-///
-/// The dense counterpart of [`Simulation`](crate::Simulation): it shares the
-/// same [`RoundSummary`]/[`Metrics`] reporting surface, runs the same
-/// push-gossip/collision/noise round structure, but executes each round with
-/// `O(#states)` binomial draws, so `n = 10⁶` costs the same per round as
-/// `n = 100`.  See the module docs for the exactness contract.
-///
-/// Since the stratified generalization landed this is a thin wrapper over a
-/// single-stratum [`StratifiedSimulation`]; the stratified engine draws the
-/// same variates in the same order, so seeded dense runs are bit-identical
-/// to what this type produced when it owned the round loop
-/// (`tests/dense_golden.rs` pins the stream).
-#[derive(Debug)]
-pub struct DenseSimulation<P, C> {
-    inner: StratifiedSimulation<P, C>,
-}
-
-impl<P: DenseProtocol, C: Channel> DenseSimulation<P, C> {
-    /// Creates a dense simulation over the given population.
-    ///
-    /// Populations of fewer than two agents are unrepresentable here: every
-    /// [`DensePopulation`] constructor already rejects them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlipError::InvalidParameter`] if the configured population
-    /// size disagrees with the counts, the protocol declares no states, or
-    /// the counts vector is longer than the declared state count.
-    pub fn new(
-        protocol: P,
-        channel: C,
-        population: DensePopulation,
-        config: SimulationConfig,
-    ) -> Result<Self, FlipError> {
-        let inner = StratifiedSimulation::new(
-            protocol,
-            vec![channel],
-            StratifiedPopulation::single(population),
-            config,
-        )?;
-        Ok(Self { inner })
-    }
-
-    /// Executes one synchronous round and returns its summary.
-    pub fn step(&mut self) -> RoundSummary {
-        self.inner.step()
-    }
-
-    /// Executes `rounds` rounds and returns the accumulated metrics.
-    pub fn run(&mut self, rounds: u64) -> &Metrics {
-        self.inner.run(rounds)
-    }
-
-    /// Executes rounds until `predicate` returns `true` (checked after every
-    /// round) or `max_rounds` rounds have been executed, whichever comes first.
-    ///
-    /// Returns the number of rounds executed by this call.
-    pub fn run_until<F>(&mut self, max_rounds: u64, mut predicate: F) -> u64
-    where
-        F: FnMut(&Self) -> bool,
-    {
-        let mut executed = 0;
-        while executed < max_rounds {
-            self.step();
-            executed += 1;
-            if predicate(self) {
-                break;
-            }
-        }
-        executed
-    }
-
-    /// The current per-state population counts.
-    #[must_use]
-    pub fn population(&self) -> &DensePopulation {
-        self.inner.population().stratum(0)
-    }
-
-    /// A census of the current population.
-    #[must_use]
-    pub fn census(&self) -> Census {
-        self.inner.census()
-    }
-
-    /// The accumulated metrics so far.
-    #[must_use]
-    pub fn metrics(&self) -> &Metrics {
-        self.inner.metrics()
-    }
-
-    /// The next round index to be executed (equals rounds executed so far).
-    #[must_use]
-    pub fn round(&self) -> Round {
-        self.inner.round()
-    }
-
-    /// The protocol state machine in use.
-    #[must_use]
-    pub fn protocol(&self) -> &P {
-        self.inner.protocol()
-    }
-
-    /// The noise channel in use.
-    #[must_use]
-    pub fn channel(&self) -> &C {
-        &self.inner.channels()[0]
-    }
-
-    /// Consumes the simulation, returning the final population and metrics.
-    #[must_use]
-    pub fn into_parts(self) -> (DensePopulation, Metrics) {
-        let (_, _, population, metrics) = self.inner.into_raw_parts();
-        (population.into_stratum0(), metrics)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::channel::{BinarySymmetricChannel, NoiselessChannel};
+    use crate::config::SimulationConfig;
     use crate::dense_protocols::{RumorProtocol, VoterProtocol};
+    use crate::stratified::StratifiedSimulation;
 
     #[test]
     fn rejects_bad_constructions() {
@@ -445,14 +155,17 @@ mod tests {
         let population = DensePopulation::from_counts(vec![5, 5]).unwrap();
         let config = SimulationConfig::new(11);
         assert!(matches!(
-            DenseSimulation::new(VoterProtocol, NoiselessChannel, population, config),
+            StratifiedSimulation::single(VoterProtocol, NoiselessChannel, population, config),
             Err(FlipError::InvalidParameter { .. })
         ));
 
         // Counts vector longer than the protocol's state space.
         let population = DensePopulation::from_counts(vec![5, 5, 5, 5]).unwrap();
         let config = SimulationConfig::new(20);
-        assert!(DenseSimulation::new(VoterProtocol, NoiselessChannel, population, config).is_err());
+        assert!(
+            StratifiedSimulation::single(VoterProtocol, NoiselessChannel, population, config)
+                .is_err()
+        );
     }
 
     #[test]
@@ -460,9 +173,9 @@ mod tests {
         // A rumor population seeded with only the undecided slot filled.
         let population = DensePopulation::from_counts(vec![10]).unwrap();
         let config = SimulationConfig::new(10);
-        let sim =
-            DenseSimulation::new(RumorProtocol, NoiselessChannel, population, config).unwrap();
-        assert_eq!(sim.population().counts().len(), 3);
+        let sim = StratifiedSimulation::single(RumorProtocol, NoiselessChannel, population, config)
+            .unwrap();
+        assert_eq!(sim.population().stratum(0).counts().len(), 3);
     }
 
     #[test]
@@ -470,7 +183,8 @@ mod tests {
         let population = RumorProtocol::population(100, 0, 0);
         let config = SimulationConfig::new(100).with_seed(1);
         let mut sim =
-            DenseSimulation::new(RumorProtocol, NoiselessChannel, population, config).unwrap();
+            StratifiedSimulation::single(RumorProtocol, NoiselessChannel, population, config)
+                .unwrap();
         let summary = sim.step();
         assert_eq!(summary.metrics.messages_sent, 0);
         assert_eq!(summary.census_active, 0);
@@ -485,7 +199,8 @@ mod tests {
         let population = RumorProtocol::population(1_000, 0, 1_000);
         let config = SimulationConfig::new(1_000).with_seed(2);
         let mut sim =
-            DenseSimulation::new(RumorProtocol, NoiselessChannel, population, config).unwrap();
+            StratifiedSimulation::single(RumorProtocol, NoiselessChannel, population, config)
+                .unwrap();
         for _ in 0..20 {
             let summary = sim.step();
             assert_eq!(summary.census_active, 1_000);
@@ -501,7 +216,8 @@ mod tests {
             .with_seed(3)
             .with_reference(Opinion::One);
         let channel = BinarySymmetricChannel::from_epsilon(0.3).unwrap();
-        let mut sim = DenseSimulation::new(RumorProtocol, channel, population, config).unwrap();
+        let mut sim =
+            StratifiedSimulation::single(RumorProtocol, channel, population, config).unwrap();
         let executed = sim.run_until(1_000, |s| s.census().active() == 100_000);
         assert!(executed < 100, "rumor should spread in O(log n) rounds");
         // With noise, both opinions circulate among the activated agents.
@@ -514,7 +230,8 @@ mod tests {
         let population = DensePopulation::from_counts(vec![500, 500]).unwrap();
         let config = SimulationConfig::new(1_000).with_seed(4);
         let channel = BinarySymmetricChannel::new(0.25).unwrap();
-        let mut sim = DenseSimulation::new(VoterProtocol, channel, population, config).unwrap();
+        let mut sim =
+            StratifiedSimulation::single(VoterProtocol, channel, population, config).unwrap();
         sim.run(500);
         let m = sim.metrics();
         assert_eq!(m.messages_sent, m.messages_accepted + m.messages_collided);
@@ -535,7 +252,8 @@ mod tests {
             let population = RumorProtocol::population(10_000, 5, 5);
             let config = SimulationConfig::new(10_000).with_seed(seed);
             let channel = BinarySymmetricChannel::from_epsilon(0.2).unwrap();
-            let mut sim = DenseSimulation::new(RumorProtocol, channel, population, config).unwrap();
+            let mut sim =
+                StratifiedSimulation::single(RumorProtocol, channel, population, config).unwrap();
             let summaries: Vec<(usize, u64)> = (0..50)
                 .map(|_| {
                     let s = sim.step();
@@ -559,7 +277,8 @@ mod tests {
             .with_seed(5)
             .with_reference(Opinion::One);
         let mut sim =
-            DenseSimulation::new(RumorProtocol, NoiselessChannel, population, config).unwrap();
+            StratifiedSimulation::single(RumorProtocol, NoiselessChannel, population, config)
+                .unwrap();
         let summary = sim.step();
         assert_eq!(
             summary.census_correct,

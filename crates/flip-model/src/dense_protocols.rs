@@ -419,7 +419,6 @@ mod tests {
     use super::*;
     use crate::channel::BinarySymmetricChannel;
     use crate::config::SimulationConfig;
-    use crate::dense::DenseSimulation;
     use crate::stratified::StratifiedSimulation;
 
     #[test]
@@ -554,7 +553,7 @@ mod tests {
             .with_seed(11)
             .with_reference(Opinion::One);
         let channel = BinarySymmetricChannel::from_epsilon(0.3).unwrap();
-        let mut sim = DenseSimulation::new(sampler, channel, population, config).unwrap();
+        let mut sim = StratifiedSimulation::single(sampler, channel, population, config).unwrap();
         sim.run(11 * 12);
         let fraction = sim.census().fraction_correct(Opinion::One);
         assert!(fraction > 0.9, "fraction correct = {fraction}");

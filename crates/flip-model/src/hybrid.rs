@@ -1,7 +1,7 @@
 //! The hybrid engine: a tracked subpopulation simulated exactly, against a
 //! dense bulk.
 //!
-//! The dense/stratified engines reach `n ≥ 10⁶` by replacing per-message
+//! The counts engine reaches `n ≥ 10⁶` by replacing per-message
 //! channel noise with its mean crossover and per-agent state with counts.
 //! That is the right trade for the bulk, but some questions are about
 //! *specific agents*: the adversary's targets, a panel of tracked agents
@@ -15,16 +15,17 @@
 //! corruption is sampled individually, exactly as the reference engine would
 //! — while the remaining `n − k` agents form a dense
 //! [`StratifiedPopulation`] bulk advanced with `O(#strata × #states)`
-//! binomial draws.  Each round the two sides exchange aggregates through one
-//! shared message pool: tracked sends and bulk sends are pooled, every agent
-//! (tracked or bulk) receives against the same occupancy marginal, and a
-//! tracked agent's accepted message is drawn from the pool's global symbol
-//! mix before being corrupted by the *real* channel.  A round therefore
+//! binomial draws by the counts engine's own round passes.  Each round the
+//! two sides exchange aggregates through one shared message pool: tracked
+//! sends and bulk sends are pooled, every agent (tracked or bulk) receives
+//! against the same occupancy marginal, and a tracked agent's accepted
+//! message is drawn from the pool's global symbol mix before being
+//! corrupted by the *real* channel.  A round therefore
 //! costs `O(k + #strata × #states)` — constant in `n` for fixed `k`.
 //!
 //! # Exactness
 //!
-//! The bulk inherits the dense engine's contract (exact aggregate sampling;
+//! The bulk inherits the counts engine's contract (exact aggregate sampling;
 //! independent reception at the occupancy marginal as the one
 //! approximation).  Tracked agents additionally get *exact per-message
 //! channel noise* — [`Channel::transmit`] per accepted message rather than
@@ -66,7 +67,7 @@ use crate::metrics::{Metrics, RoundMetrics};
 use crate::opinion::Opinion;
 use crate::population::Census;
 use crate::rng::SimRng;
-use crate::stratified::{binomial, validate_and_pad, StratifiedPopulation, StratifiedProtocol};
+use crate::stratified::{Counts, Reception, StratifiedPopulation, StratifiedProtocol};
 use crate::trace::TraceRecorder;
 use telemetry::{Event, Phase, Recorder, Telemetry};
 
@@ -81,8 +82,7 @@ pub struct HybridSimulation<A, P, C> {
     tracked: Vec<A>,
     protocol: P,
     channel: C,
-    bulk: StratifiedPopulation,
-    next_counts: Vec<Vec<u64>>,
+    bulk: Counts,
     rng: SimRng,
     round: Round,
     metrics: Metrics,
@@ -108,7 +108,7 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
     /// Returns [`FlipError::InvalidParameter`] if the tracked set is empty
     /// or the configured population size disagrees with
     /// `tracked.len() + bulk.n()`, [`FlipError::PopulationTooSmall`] if the
-    /// two sides sum to fewer than two agents, and the stratified engine's
+    /// two sides sum to fewer than two agents, and the counts engine's
     /// validation errors for bulk/protocol mismatches.
     pub fn new(
         tracked: Vec<A>,
@@ -162,20 +162,13 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
                 Some(FaultPlan::leading(&spec, faulty as usize, tracked.len()))
             }
         };
-        let mut bulk = bulk;
-        validate_and_pad(&protocol, &mut bulk)?;
-        let next_counts = bulk
-            .strata()
-            .iter()
-            .map(|stratum| vec![0; stratum.counts().len()])
-            .collect();
+        let bulk = Counts::new(&protocol, bulk)?;
         let trace = TraceRecorder::new(tracked.len(), config.trace_options(), config.reference());
         Ok(Self {
             tracked,
             protocol,
             channel,
             bulk,
-            next_counts,
             rng: SimRng::from_seed(config.seed()),
             round: 0,
             metrics: Metrics::new(),
@@ -210,10 +203,13 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
     }
 
     /// Executes one synchronous round and returns its summary.
+    ///
+    /// The draw order is: tracked sends, bulk sends, tracked receptions,
+    /// bulk receptions.  The bulk's passes are the counts engine's own
+    /// (see [`StratifiedSimulation`](crate::StratifiedSimulation)), with the
+    /// channel's mean crossover for every stratum.
     pub fn step(&mut self) -> RoundSummary {
         let round = self.round;
-        let n = self.n;
-        let strata = self.bulk.strata().len();
 
         // Phase 1: sends — tracked agents individually, bulk in aggregate,
         // all into one shared pool.
@@ -253,53 +249,30 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
                 }
             }
         }
-        for s in 0..strata {
-            for state in 0..self.bulk.strata()[s].counts.len() {
-                let count = self.bulk.strata()[s].counts[state];
-                if count == 0 {
-                    continue;
-                }
-                if let Some((symbol, probability)) = self.protocol.send(s, state, round) {
-                    sent_by_symbol[symbol.index()] += binomial(&mut self.rng, count, probability);
-                }
-            }
-        }
+        self.bulk
+            .send(&self.protocol, round, &mut self.rng, &mut sent_by_symbol);
         let sent = sent_by_symbol[0] + sent_by_symbol[1];
         self.telemetry.end(Phase::ProtocolStep, span);
         self.telemetry.add(Event::FaultForcedSends, forced_sends);
 
         // Phase 2: reception against the shared pool.
         let span = self.telemetry.begin();
-        for next in &mut self.next_counts {
-            next.fill(0);
-        }
+        let reception = Reception::of_pool(self.n, sent_by_symbol);
         let mut accepted = 0u64;
         let mut flips = 0u64;
         let mut suppressed = 0u64;
         let mut tracked_corrections = 0u64;
         let record_activations = self.trace.options().record_activations;
-        if sent == 0 {
-            for s in 0..strata {
-                for state in 0..self.bulk.strata()[s].counts.len() {
-                    let count = self.bulk.strata()[s].counts[state];
-                    if count > 0 {
-                        self.next_counts[s][self.protocol.on_round_end(s, state, round)] += count;
-                    }
-                }
-            }
-        } else {
-            let p_receive = 1.0 - (1.0 - 1.0 / (n as f64 - 1.0)).powf(sent as f64);
-            let fraction_one = sent_by_symbol[1] as f64 / sent as f64;
-
+        if let Some(reception) = reception {
             // Tracked deliveries: sample whether each agent's mailbox is
             // non-empty, draw the accepted symbol from the pool's global
             // mix, then corrupt it through the *real* channel — exact
             // per-message noise, not the mean crossover.
             for (idx, agent) in self.tracked.iter_mut().enumerate() {
-                if !self.rng.chance(p_receive) {
+                if !self.rng.chance(reception.p_receive) {
                     continue;
                 }
-                let symbol = if self.rng.chance(fraction_one) {
+                let symbol = if self.rng.chance(reception.fraction_one) {
                     Opinion::One
                 } else {
                     Opinion::Zero
@@ -327,57 +300,16 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
                 }
                 let _ = agent.deliver(round, delivered, &mut self.rng);
             }
-
-            // Bulk deliveries: the stratified engine's aggregate pass.
-            let crossover = self.channel.mean_crossover();
-            let hear_one = fraction_one * (1.0 - crossover) + (1.0 - fraction_one) * crossover;
-            for s in 0..strata {
-                let mut stratum_accepted = 0u64;
-                let mut heard_ones = 0u64;
-                for state in 0..self.bulk.strata()[s].counts.len() {
-                    let count = self.bulk.strata()[s].counts[state];
-                    if count == 0 {
-                        continue;
-                    }
-                    let receivers = binomial(&mut self.rng, count, p_receive);
-                    let hear_ones = binomial(&mut self.rng, receivers, hear_one);
-                    let hear_zeros = receivers - hear_ones;
-                    stratum_accepted += receivers;
-                    heard_ones += hear_ones;
-                    let silent_state = self.protocol.on_round_end(s, state, round);
-                    self.next_counts[s][silent_state] += count - receivers;
-                    let one_state = self.protocol.on_round_end(
-                        s,
-                        self.protocol.on_receive(s, state, Opinion::One, round),
-                        round,
-                    );
-                    self.next_counts[s][one_state] += hear_ones;
-                    let zero_state = self.protocol.on_round_end(
-                        s,
-                        self.protocol.on_receive(s, state, Opinion::Zero, round),
-                        round,
-                    );
-                    self.next_counts[s][zero_state] += hear_zeros;
-                }
-                let flip_given_one = if hear_one > 0.0 {
-                    ((1.0 - fraction_one) * crossover / hear_one).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                let flip_given_zero = if hear_one < 1.0 {
-                    (fraction_one * crossover / (1.0 - hear_one)).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                flips += binomial(&mut self.rng, heard_ones, flip_given_one)
-                    + binomial(
-                        &mut self.rng,
-                        stratum_accepted - heard_ones,
-                        flip_given_zero,
-                    );
-                accepted += stratum_accepted;
-            }
         }
+        // Bulk deliveries: the counts engine's reception pass.
+        let crossover = self.channel.mean_crossover();
+        let (bulk_accepted, bulk_flips) =
+            self.bulk
+                .receive(&self.protocol, round, &mut self.rng, reception, |_| {
+                    crossover
+                });
+        accepted += bulk_accepted;
+        flips += bulk_flips;
         self.telemetry.end(Phase::NoiseMerge, span);
         self.telemetry
             .add(Event::HybridTrackedCorrections, tracked_corrections);
@@ -385,9 +317,7 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
             .add(Event::FaultSuppressedDeliveries, suppressed);
 
         let span = self.telemetry.begin();
-        for (stratum, next) in self.bulk.strata_mut().iter_mut().zip(&mut self.next_counts) {
-            std::mem::swap(&mut stratum.counts, next);
-        }
+        self.bulk.swap();
         self.telemetry.end(Phase::CensusApply, span);
         if A::USES_END_ROUND {
             let span = self.telemetry.begin();
@@ -470,7 +400,7 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
                 holding[op.index()] += 1;
             }
         }
-        let bulk = self.bulk.census(&self.protocol);
+        let bulk = self.bulk.population().census(&self.protocol);
         Census::from_counts(
             holding[0] + bulk.holding(Opinion::Zero),
             holding[1] + bulk.holding(Opinion::One),
@@ -487,7 +417,7 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
     /// The dense bulk's current per-stratum counts.
     #[must_use]
     pub fn bulk(&self) -> &StratifiedPopulation {
-        &self.bulk
+        self.bulk.population()
     }
 
     /// The accumulated metrics so far.
@@ -531,7 +461,7 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
     /// population, and the accumulated metrics.
     #[must_use]
     pub fn into_parts(self) -> (Vec<A>, StratifiedPopulation, Metrics) {
-        (self.tracked, self.bulk, self.metrics)
+        (self.tracked, self.bulk.into_population(), self.metrics)
     }
 }
 

@@ -17,15 +17,15 @@
 //! machines implementing the [`Agent`] trait, and the [`Simulation`] engine
 //! applies the push-gossip routing, collision and noise semantics.
 //!
-//! Three engine families execute the model, selected by [`Backend`]: the
-//! per-agent [`Simulation`] (the exact reference semantics), the counts-based
-//! [`DenseSimulation`]/[`StratifiedSimulation`] — homogeneous protocols
-//! ([`DenseProtocol`]) and stratified heterogeneous ones
-//! ([`StratifiedProtocol`]) in `O(#strata × #states)` per round, reaching
-//! populations of `10⁶`–`10⁷` agents — and the [`HybridSimulation`], which
-//! runs `k` tracked agents exactly against a dense bulk.  See the
-//! [`dense`](DenseSimulation), [`stratified`](StratifiedSimulation) and
-//! [`hybrid`](HybridSimulation) module documentation for the equivalence
+//! Three engines execute the model, selected by [`Backend`]: the per-agent
+//! [`Simulation`] (the exact reference semantics); the one counts engine,
+//! [`StratifiedSimulation`], which runs stratified heterogeneous protocols
+//! ([`StratifiedProtocol`]) and, as their one-stratum case, homogeneous ones
+//! ([`DenseProtocol`]) in `O(#strata × #states)` per round, reaching
+//! populations of `10⁶`–`10⁷` agents; and the [`HybridSimulation`], which
+//! runs `k` tracked agents exactly against a bulk advanced by the counts
+//! engine's own round passes.  See the [`stratified`](StratifiedSimulation)
+//! and [`hybrid`](HybridSimulation) module documentation for the equivalence
 //! contract between them.
 //!
 //! # Example
@@ -100,7 +100,7 @@ pub use backend::{Backend, DEFAULT_HYBRID_TRACKED};
 pub use channel::{AdversarialCapChannel, BinarySymmetricChannel, Channel, NoiselessChannel};
 pub use clock::{ClockModel, LocalClock};
 pub use config::SimulationConfig;
-pub use dense::{DensePopulation, DenseProtocol, DenseSimulation, OpinionBitmap};
+pub use dense::{DensePopulation, DenseProtocol};
 pub use dense_protocols::{
     MajoritySamplerProtocol, RumorAgent, RumorProtocol, VoterProtocol, ZealotAgent,
     ZealotRumorProtocol,

@@ -1,34 +1,44 @@
-//! The stratified dense engine: per-stratum counts against a shared pool.
+//! The counts engine: per-stratum counts against a shared message pool.
 //!
-//! The dense engine ([`DenseSimulation`](crate::DenseSimulation)) assumes one
-//! interchangeable population: a single count vector, a single send table, a
-//! single channel.  Heterogeneous scenarios — zealot subpopulations, agent
-//! classes listening through differently-noisy channels — break that
-//! assumption and used to fall back to the per-agent engine, capping them
-//! orders of magnitude below the `n ≥ 10⁶` regime the paper's asymptotic
-//! claims ask for.
+//! The per-agent [`Simulation`](crate::Simulation) stores one object per
+//! agent, which caps practical experiments near `n ≈ 10⁴–10⁵`.  The paper's
+//! claims are asymptotic in `n`; reaching `n = 10⁶–10⁷` needs an engine
+//! whose per-round cost is independent of `n`.  [`StratifiedSimulation`] is
+//! that engine — the workspace's one counts engine.
 //!
-//! This module generalizes the counts representation to **strata**.  A
-//! stratum is an (agent-class × channel-class) pair with its own count
-//! vector, send table ([`StratifiedProtocol::send`]) and channel (one
-//! [`Channel`] per stratum, so each stratum has its own crossover
-//! parameters).  Agents never move between strata — a stratum is a fixed
-//! subpopulation, and all state transitions stay inside it.  Every round the
-//! strata push into **one shared global message pool**: sends are one
-//! binomial per (stratum, state) cell, the pool's symbol mix is global, and
-//! reception is one binomial pair per (stratum, state) cell against the
-//! occupancy marginal of the whole population, so a round costs
-//! `O(#strata × #states)` regardless of `n`.
+//! A population is stored as **strata**.  A stratum is an (agent-class ×
+//! channel-class) pair with its own count vector, send table
+//! ([`StratifiedProtocol::send`]) and channel (one [`Channel`] per stratum,
+//! so each stratum has its own crossover).  Agents never move between
+//! strata; all state transitions stay inside one.  A homogeneous population
+//! is the one-stratum case: every [`DenseProtocol`] is a one-stratum
+//! [`StratifiedProtocol`] through a blanket impl, and
+//! [`StratifiedSimulation::single`] builds the engine from a
+//! [`DensePopulation`] and one channel.
+//!
+//! Every round the strata push into **one shared global message pool**:
+//! sends are one binomial per (stratum, state) cell, the pool's symbol mix
+//! is global, and reception is one binomial pair per (stratum, state) cell
+//! against the occupancy marginal of the whole population, so a round costs
+//! `O(#strata × #states)` regardless of `n`.  The same round passes advance
+//! the dense bulk of the [`HybridSimulation`](crate::HybridSimulation).
 //!
 //! # Exactness
 //!
-//! Identical to the dense engine's contract (see [`crate::dense`]): exact
-//! aggregate sampling of sends, noise and transitions, with independent
-//! per-agent reception at the occupancy marginal `p = 1 − (1 − 1/(n−1))^M`
-//! as the one approximation.  With a single stratum the engine draws the
-//! *same random variates in the same order* as [`DenseSimulation`] — the
-//! dense engine is now a thin wrapper over this one, and
-//! `tests/dense_equivalence.rs` pins the bit-identity.
+//! Sends, channel noise and state transitions are sampled from their exact
+//! aggregate distributions.  The one approximation is collision resolution:
+//! the per-agent engine throws `M` messages into mailboxes chosen uniformly
+//! among each sender's `n − 1` peers and keeps one per non-empty mailbox (an
+//! occupancy process with mild negative correlation between mailboxes and
+//! no self-delivery), while the counts engine lets every agent receive
+//! independently with the occupancy marginal `p = 1 − (1 − 1/(n−1))^M`.
+//! Per-round means agree with the per-agent engine up to `O(1/n)` relative
+//! error (the self-exclusion term a sender's own message contributes) and
+//! fluctuations agree to `O(1)`; the two backends are therefore
+//! *distributionally equivalent* for population-level statistics (and
+//! exactly equal in every degenerate case where the dynamics are
+//! deterministic — see `tests/dense_equivalence.rs`).  Seeded runs are
+//! pinned bit for bit by `tests/dense_golden.rs`.
 //!
 //! # Example
 //!
@@ -71,7 +81,7 @@ use crate::rng::SimRng;
 ///
 /// The single-stratum case is exactly [`DenseProtocol`], and every dense
 /// protocol implements this trait automatically through a blanket impl —
-/// Rumor/Voter/MajoritySampler run unchanged on the stratified engine.
+/// Rumor/Voter/MajoritySampler run unchanged on the counts engine.
 pub trait StratifiedProtocol {
     /// Number of strata (must be at least 1 and constant).
     fn stratum_count(&self) -> usize;
@@ -208,28 +218,6 @@ impl StratifiedPopulation {
         &self.strata[stratum]
     }
 
-    /// All strata, for crate-internal engines that drive the counts directly.
-    pub(crate) fn strata(&self) -> &[DensePopulation] {
-        &self.strata
-    }
-
-    /// Mutable view of all strata, for crate-internal engines.
-    pub(crate) fn strata_mut(&mut self) -> &mut [DensePopulation] {
-        &mut self.strata
-    }
-
-    /// Unwraps a single-stratum population back into its dense form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the population has more than one stratum (callers guard on
-    /// construction: the dense wrapper only ever builds single-stratum
-    /// populations).
-    pub(crate) fn into_stratum0(self) -> DensePopulation {
-        assert_eq!(self.strata.len(), 1, "population is not single-stratum");
-        self.strata.into_iter().next().expect("one stratum")
-    }
-
     /// A census of the whole population under the protocol's opinion map.
     #[must_use]
     pub fn census<P: StratifiedProtocol>(&self, protocol: &P) -> Census {
@@ -245,53 +233,211 @@ impl StratifiedPopulation {
     }
 }
 
-/// Validates a population against a protocol's stratum/state declarations
-/// and pads every stratum's counts vector to its declared state count.
-/// Shared between [`StratifiedSimulation::new`] and the hybrid engine's bulk
-/// setup.
-pub(crate) fn validate_and_pad<P: StratifiedProtocol>(
-    protocol: &P,
-    population: &mut StratifiedPopulation,
-) -> Result<(), FlipError> {
-    let strata = protocol.stratum_count();
-    if strata == 0 {
-        return Err(FlipError::InvalidParameter {
-            name: "stratum_count",
-            message: "a stratified protocol needs at least one stratum".to_string(),
-        });
+/// The counts one round advances: the per-stratum population plus the
+/// reusable next-round buffers.
+///
+/// The round passes — [`send`](Self::send), [`receive`](Self::receive) and
+/// [`swap`](Self::swap) — are the one implementation of the aggregate round
+/// loop.  [`StratifiedSimulation`] calls them back to back; the hybrid
+/// engine interleaves its tracked agents' per-message draws between them.
+#[derive(Debug)]
+pub(crate) struct Counts {
+    population: StratifiedPopulation,
+    next: Vec<Vec<u64>>,
+}
+
+/// The shared pool's reception law for one round: the occupancy marginal
+/// `p_receive` and the pool's global share of [`Opinion::One`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Reception {
+    pub(crate) p_receive: f64,
+    pub(crate) fraction_one: f64,
+}
+
+impl Reception {
+    /// The law of a pool holding `sent_by_symbol` messages in a population of
+    /// `n`, or `None` for a silent round.
+    pub(crate) fn of_pool(n: u64, sent_by_symbol: [u64; 2]) -> Option<Self> {
+        let sent = sent_by_symbol[0] + sent_by_symbol[1];
+        if sent == 0 {
+            return None;
+        }
+        Some(Self {
+            p_receive: 1.0 - (1.0 - 1.0 / (n as f64 - 1.0)).powf(sent as f64),
+            fraction_one: sent_by_symbol[1] as f64 / sent as f64,
+        })
     }
-    if population.stratum_count() != strata {
-        return Err(FlipError::InvalidParameter {
-            name: "strata",
-            message: format!(
-                "population has {} strata but the protocol declares {strata}",
-                population.stratum_count()
-            ),
-        });
-    }
-    for (s, stratum) in population.strata.iter_mut().enumerate() {
-        let states = protocol.state_count(s);
-        if states == 0 {
+}
+
+impl Counts {
+    /// Validates `population` against the protocol's stratum/state
+    /// declarations and pads every stratum's counts vector to its declared
+    /// state count.
+    pub(crate) fn new<P: StratifiedProtocol>(
+        protocol: &P,
+        mut population: StratifiedPopulation,
+    ) -> Result<Self, FlipError> {
+        let strata = protocol.stratum_count();
+        if strata == 0 {
             return Err(FlipError::InvalidParameter {
-                name: "state_count",
-                message: format!("stratum {s} declares no states; need at least one"),
+                name: "stratum_count",
+                message: "a stratified protocol needs at least one stratum".to_string(),
             });
         }
-        if stratum.counts().len() > states {
+        if population.stratum_count() != strata {
             return Err(FlipError::InvalidParameter {
-                name: "counts",
+                name: "strata",
                 message: format!(
-                    "stratum {s} has {} state slots but its protocol declares {states}",
-                    stratum.counts().len()
+                    "population has {} strata but the protocol declares {strata}",
+                    population.stratum_count()
                 ),
             });
         }
-        stratum.counts.resize(states, 0);
+        for (s, stratum) in population.strata.iter_mut().enumerate() {
+            let states = protocol.state_count(s);
+            if states == 0 {
+                return Err(FlipError::InvalidParameter {
+                    name: "state_count",
+                    message: format!("stratum {s} declares no states; need at least one"),
+                });
+            }
+            if stratum.counts().len() > states {
+                return Err(FlipError::InvalidParameter {
+                    name: "counts",
+                    message: format!(
+                        "stratum {s} has {} state slots but its protocol declares {states}",
+                        stratum.counts().len()
+                    ),
+                });
+            }
+            stratum.counts.resize(states, 0);
+        }
+        let next = population
+            .strata
+            .iter()
+            .map(|stratum| vec![0; stratum.counts().len()])
+            .collect();
+        Ok(Self { population, next })
     }
-    Ok(())
+
+    /// The current per-stratum counts.
+    pub(crate) fn population(&self) -> &StratifiedPopulation {
+        &self.population
+    }
+
+    /// Consumes the counts, returning the population.
+    pub(crate) fn into_population(self) -> StratifiedPopulation {
+        self.population
+    }
+
+    /// The aggregate send pass: adds one binomial per (stratum, sending
+    /// state) cell to `sent_by_symbol`, strata outer, states inner.
+    pub(crate) fn send<P: StratifiedProtocol>(
+        &self,
+        protocol: &P,
+        round: Round,
+        rng: &mut SimRng,
+        sent_by_symbol: &mut [u64; 2],
+    ) {
+        for (s, stratum) in self.population.strata.iter().enumerate() {
+            for (state, &count) in stratum.counts.iter().enumerate() {
+                if count == 0 {
+                    continue;
+                }
+                if let Some((symbol, probability)) = protocol.send(s, state, round) {
+                    sent_by_symbol[symbol.index()] += binomial(rng, count, probability);
+                }
+            }
+        }
+    }
+
+    /// The aggregate reception pass into the next-round buffers; returns
+    /// `(accepted, flipped)`.
+    ///
+    /// In a silent round (`reception` is `None`) every agent only takes its
+    /// end-of-round transition and no variate is drawn.  Otherwise each
+    /// stratum draws, per state, its receivers and how many of them hear
+    /// [`Opinion::One`] through its own channel (`crossover(s)` is stratum
+    /// `s`'s mean crossover), then its two flip-count binomials.
+    pub(crate) fn receive<P: StratifiedProtocol>(
+        &mut self,
+        protocol: &P,
+        round: Round,
+        rng: &mut SimRng,
+        reception: Option<Reception>,
+        crossover: impl Fn(usize) -> f64,
+    ) -> (u64, u64) {
+        for next in &mut self.next {
+            next.fill(0);
+        }
+        let mut accepted = 0u64;
+        let mut flips = 0u64;
+        for (s, (stratum, next)) in self
+            .population
+            .strata
+            .iter()
+            .zip(&mut self.next)
+            .enumerate()
+        {
+            let Some(Reception {
+                p_receive,
+                fraction_one,
+            }) = reception
+            else {
+                for (state, &count) in stratum.counts.iter().enumerate() {
+                    if count > 0 {
+                        next[protocol.on_round_end(s, state, round)] += count;
+                    }
+                }
+                continue;
+            };
+            let crossover = crossover(s);
+            let hear_one = fraction_one * (1.0 - crossover) + (1.0 - fraction_one) * crossover;
+            let mut stratum_accepted = 0u64;
+            let mut heard_ones = 0u64;
+            for (state, &count) in stratum.counts.iter().enumerate() {
+                if count == 0 {
+                    continue;
+                }
+                let receivers = binomial(rng, count, p_receive);
+                let hear_ones = binomial(rng, receivers, hear_one);
+                let hear_zeros = receivers - hear_ones;
+                stratum_accepted += receivers;
+                heard_ones += hear_ones;
+                next[protocol.on_round_end(s, state, round)] += count - receivers;
+                let one_state = protocol.on_receive(s, state, Opinion::One, round);
+                next[protocol.on_round_end(s, one_state, round)] += hear_ones;
+                let zero_state = protocol.on_receive(s, state, Opinion::Zero, round);
+                next[protocol.on_round_end(s, zero_state, round)] += hear_zeros;
+            }
+            // Flip counts conditioned on the heard symbols actually drawn in
+            // this stratum, through this stratum's crossover.
+            let flip_given_one = if hear_one > 0.0 {
+                ((1.0 - fraction_one) * crossover / hear_one).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            let flip_given_zero = if hear_one < 1.0 {
+                (fraction_one * crossover / (1.0 - hear_one)).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            flips += binomial(rng, heard_ones, flip_given_one)
+                + binomial(rng, stratum_accepted - heard_ones, flip_given_zero);
+            accepted += stratum_accepted;
+        }
+        (accepted, flips)
+    }
+
+    /// The count swap: the next-round buffers become the population.
+    pub(crate) fn swap(&mut self) {
+        for (stratum, next) in self.population.strata.iter_mut().zip(&mut self.next) {
+            std::mem::swap(&mut stratum.counts, next);
+        }
+    }
 }
 
-pub(crate) fn binomial(rng: &mut SimRng, n: u64, p: f64) -> u64 {
+fn binomial(rng: &mut SimRng, n: u64, p: f64) -> u64 {
     if n == 0 || p <= 0.0 {
         return 0;
     }
@@ -303,19 +449,19 @@ pub(crate) fn binomial(rng: &mut SimRng, n: u64, p: f64) -> u64 {
         .sample(rng)
 }
 
-/// A synchronous Flip-model simulation over per-stratum, per-state counts.
+/// A synchronous Flip-model simulation over per-stratum, per-state counts:
+/// the workspace's counts engine.
 ///
-/// The stratified generalization of [`DenseSimulation`](crate::DenseSimulation)
-/// (which is now a single-stratum wrapper around this engine): same
-/// [`RoundSummary`]/[`Metrics`] reporting surface, same
-/// push-gossip/collision/noise round structure, one channel per stratum, and
-/// `O(#strata × #states)` binomial draws per round.
+/// Same [`RoundSummary`]/[`Metrics`] reporting surface as the per-agent
+/// [`Simulation`](crate::Simulation), same push-gossip/collision/noise round
+/// structure, one channel per stratum, and `O(#strata × #states)` binomial
+/// draws per round, so `n = 10⁶` costs the same per round as `n = 100`.
+/// See the module docs for the exactness contract.
 #[derive(Debug)]
 pub struct StratifiedSimulation<P, C> {
     protocol: P,
     channels: Vec<C>,
-    population: StratifiedPopulation,
-    next_counts: Vec<Vec<u64>>,
+    counts: Counts,
     rng: SimRng,
     round: Round,
     metrics: Metrics,
@@ -359,18 +505,11 @@ impl<P: StratifiedProtocol, C: Channel> StratifiedSimulation<P, C> {
                 ),
             });
         }
-        let mut population = population;
-        validate_and_pad(&protocol, &mut population)?;
-        let next_counts = population
-            .strata
-            .iter()
-            .map(|stratum| vec![0; stratum.counts().len()])
-            .collect();
+        let counts = Counts::new(&protocol, population)?;
         Ok(Self {
             protocol,
             channels,
-            next_counts,
-            population,
+            counts,
             rng: SimRng::from_seed(config.seed()),
             round: 0,
             metrics: Metrics::new(),
@@ -378,118 +517,53 @@ impl<P: StratifiedProtocol, C: Channel> StratifiedSimulation<P, C> {
         })
     }
 
+    /// Creates a one-stratum simulation of a homogeneous population: one
+    /// [`DensePopulation`] heard through one channel.
+    ///
+    /// # Errors
+    ///
+    /// As [`StratifiedSimulation::new`]; in particular the protocol must
+    /// declare exactly one stratum, as every [`DenseProtocol`] does.
+    pub fn single(
+        protocol: P,
+        channel: C,
+        population: DensePopulation,
+        config: SimulationConfig,
+    ) -> Result<Self, FlipError> {
+        Self::new(
+            protocol,
+            vec![channel],
+            StratifiedPopulation::single(population),
+            config,
+        )
+    }
+
     /// Executes one synchronous round and returns its summary.
     ///
     /// The draw order is: sends stratum-by-stratum (states inner) into the
     /// shared pool, then per stratum a reception pass (receivers and
     /// heard-ones binomials per state, then that stratum's two flip-count
-    /// binomials).  With one stratum this is *exactly* the dense engine's
-    /// draw sequence, which is what makes [`DenseSimulation`](crate::DenseSimulation)'s
-    /// delegation bit-identical.
+    /// binomials).  `tests/dense_golden.rs` pins the resulting stream.
     pub fn step(&mut self) -> RoundSummary {
         let round = self.round;
-        let n = self.population.n;
-        let strata = self.population.strata.len();
-
-        // Phase 1: aggregate sends into one shared pool — one binomial per
-        // (stratum, sending state) cell.
         let mut sent_by_symbol = [0u64; 2];
-        for s in 0..strata {
-            for state in 0..self.population.strata[s].counts.len() {
-                let count = self.population.strata[s].counts[state];
-                if count == 0 {
-                    continue;
-                }
-                if let Some((symbol, probability)) = self.protocol.send(s, state, round) {
-                    sent_by_symbol[symbol.index()] += binomial(&mut self.rng, count, probability);
-                }
-            }
-        }
+        self.counts
+            .send(&self.protocol, round, &mut self.rng, &mut sent_by_symbol);
         let sent = sent_by_symbol[0] + sent_by_symbol[1];
-
-        // Phase 2: aggregate reception — one binomial pair per (stratum,
-        // state) cell, against the global pool but through each stratum's
-        // own channel.
-        for next in &mut self.next_counts {
-            next.fill(0);
-        }
-        let mut accepted = 0u64;
-        let mut flips = 0u64;
-        if sent == 0 {
-            for s in 0..strata {
-                for state in 0..self.population.strata[s].counts.len() {
-                    let count = self.population.strata[s].counts[state];
-                    if count > 0 {
-                        self.next_counts[s][self.protocol.on_round_end(s, state, round)] += count;
-                    }
-                }
-            }
-        } else {
-            // Occupancy marginal of the shared pool (see crate::dense docs);
-            // the pool's symbol mix is global, the crossover per stratum.
-            let p_receive = 1.0 - (1.0 - 1.0 / (n as f64 - 1.0)).powf(sent as f64);
-            let fraction_one = sent_by_symbol[1] as f64 / sent as f64;
-            for s in 0..strata {
-                let crossover = self.channels[s].mean_crossover();
-                let hear_one = fraction_one * (1.0 - crossover) + (1.0 - fraction_one) * crossover;
-                let mut stratum_accepted = 0u64;
-                let mut heard_ones = 0u64;
-                for state in 0..self.population.strata[s].counts.len() {
-                    let count = self.population.strata[s].counts[state];
-                    if count == 0 {
-                        continue;
-                    }
-                    let receivers = binomial(&mut self.rng, count, p_receive);
-                    let hear_ones = binomial(&mut self.rng, receivers, hear_one);
-                    let hear_zeros = receivers - hear_ones;
-                    stratum_accepted += receivers;
-                    heard_ones += hear_ones;
-                    let silent_state = self.protocol.on_round_end(s, state, round);
-                    self.next_counts[s][silent_state] += count - receivers;
-                    let one_state = self.protocol.on_round_end(
-                        s,
-                        self.protocol.on_receive(s, state, Opinion::One, round),
-                        round,
-                    );
-                    self.next_counts[s][one_state] += hear_ones;
-                    let zero_state = self.protocol.on_round_end(
-                        s,
-                        self.protocol.on_receive(s, state, Opinion::Zero, round),
-                        round,
-                    );
-                    self.next_counts[s][zero_state] += hear_zeros;
-                }
-                // Flip counts conditioned on the heard symbols actually
-                // drawn in this stratum (same conditioning as the dense
-                // engine, with this stratum's crossover).
-                let flip_given_one = if hear_one > 0.0 {
-                    ((1.0 - fraction_one) * crossover / hear_one).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                let flip_given_zero = if hear_one < 1.0 {
-                    (fraction_one * crossover / (1.0 - hear_one)).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                flips += binomial(&mut self.rng, heard_ones, flip_given_one)
-                    + binomial(
-                        &mut self.rng,
-                        stratum_accepted - heard_ones,
-                        flip_given_zero,
-                    );
-                accepted += stratum_accepted;
-            }
-        }
-        for (stratum, next) in self.population.strata.iter_mut().zip(&mut self.next_counts) {
-            std::mem::swap(&mut stratum.counts, next);
-        }
+        let reception = Reception::of_pool(self.counts.population.n, sent_by_symbol);
+        let channels = &self.channels;
+        let (accepted, flips) =
+            self.counts
+                .receive(&self.protocol, round, &mut self.rng, reception, |s| {
+                    channels[s].mean_crossover()
+                });
+        self.counts.swap();
 
         // Independent reception can (rarely) draw slightly more receivers
         // than messages; clamp the accounting so `sent = accepted + collided`.
         let accepted_capped = accepted.min(sent);
-        // The stratified engine carries no fault plan: the fault counters in
-        // its round metrics stay zero.
+        // The counts engine carries no fault plan: the fault counters in its
+        // round metrics stay zero.
         let round_metrics = RoundMetrics {
             round,
             messages_sent: sent,
@@ -501,7 +575,7 @@ impl<P: StratifiedProtocol, C: Channel> StratifiedSimulation<P, C> {
         self.metrics.absorb_round(&round_metrics);
         self.round += 1;
 
-        let census = self.population.census(&self.protocol);
+        let census = self.census();
         RoundSummary {
             metrics: round_metrics,
             census_active: census.active(),
@@ -539,13 +613,13 @@ impl<P: StratifiedProtocol, C: Channel> StratifiedSimulation<P, C> {
     /// The current per-stratum population counts.
     #[must_use]
     pub fn population(&self) -> &StratifiedPopulation {
-        &self.population
+        &self.counts.population
     }
 
     /// A census of the current population.
     #[must_use]
     pub fn census(&self) -> Census {
-        self.population.census(&self.protocol)
+        self.counts.population.census(&self.protocol)
     }
 
     /// The accumulated metrics so far.
@@ -575,13 +649,7 @@ impl<P: StratifiedProtocol, C: Channel> StratifiedSimulation<P, C> {
     /// Consumes the simulation, returning the final population and metrics.
     #[must_use]
     pub fn into_parts(self) -> (StratifiedPopulation, Metrics) {
-        (self.population, self.metrics)
-    }
-
-    /// Consumes the simulation, returning protocol, channels, population and
-    /// metrics (the dense wrapper uses this to keep its own surface).
-    pub(crate) fn into_raw_parts(self) -> (P, Vec<C>, StratifiedPopulation, Metrics) {
-        (self.protocol, self.channels, self.population, self.metrics)
+        (self.counts.population, self.metrics)
     }
 }
 

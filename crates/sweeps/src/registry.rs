@@ -56,7 +56,7 @@ use breathe::{
     Multipliers, Params,
 };
 use flip_model::{
-    Agent, Backend, BinarySymmetricChannel, Channel, DenseSimulation, FaultSpec, HybridSimulation,
+    Agent, Backend, BinarySymmetricChannel, Channel, FaultSpec, HybridSimulation,
     MajoritySamplerProtocol, Opinion, RumorAgent, RumorProtocol, SimRng, Simulation,
     SimulationConfig, StratifiedPopulation, StratifiedSimulation, ZealotAgent, ZealotRumorProtocol,
     DEFAULT_HYBRID_TRACKED,
@@ -854,7 +854,7 @@ fn run_rumor(
                 ));
             }
             let population = RumorProtocol::population(spec.n(), 0, informed);
-            let mut sim = DenseSimulation::new(RumorProtocol, channel, population, config)?;
+            let mut sim = StratifiedSimulation::single(RumorProtocol, channel, population, config)?;
             let rounds = sim.run_until(spec.rounds, |s| s.census().active() == n);
             (
                 rounds,
@@ -1045,7 +1045,7 @@ fn run_majority_sampler(
     )
     .with_seed(spec.seed_for_trial(trial))
     .with_reference(Opinion::One);
-    let mut sim = DenseSimulation::new(sampler, channel, population, config)?;
+    let mut sim = StratifiedSimulation::single(sampler, channel, population, config)?;
     sim.run(phases * phase_len);
     let fraction = sim.census().fraction_correct(Opinion::One);
     Ok(vec![

@@ -1,11 +1,10 @@
-//! Equivalence of the dense counts-based engine and the per-agent reference
-//! engine.
+//! Equivalence of the counts engine and the per-agent reference engine.
 //!
 //! The two backends share the round structure (send → route/collide →
-//! corrupt → deliver) but the dense engine samples aggregate transition
+//! corrupt → deliver) but the counts engine samples aggregate transition
 //! counts instead of iterating agents, replacing the exact balls-into-bins
 //! collision process with its independent-reception marginal.  The contract
-//! (documented on `flip_model::DenseSimulation`) is therefore:
+//! (documented on `flip_model::StratifiedSimulation`) is therefore:
 //!
 //! 1. **identical** results wherever the dynamics are deterministic — e.g.
 //!    any fixed point of a noiseless protocol, or a population that sends
@@ -17,10 +16,9 @@
 
 use breathe_paper as _;
 use flip_model::{
-    AdversarialCapChannel, Agent, BinarySymmetricChannel, DenseSimulation, HybridSimulation,
-    NoiselessChannel, Opinion, OpinionDelta, Round, RumorAgent, RumorProtocol, SimRng, Simulation,
-    SimulationConfig, StratifiedPopulation, StratifiedSimulation, VoterProtocol, ZealotAgent,
-    ZealotRumorProtocol,
+    AdversarialCapChannel, Agent, BinarySymmetricChannel, HybridSimulation, NoiselessChannel,
+    Opinion, OpinionDelta, Round, RumorAgent, RumorProtocol, SimRng, Simulation, SimulationConfig,
+    StratifiedPopulation, StratifiedSimulation, VoterProtocol, ZealotAgent, ZealotRumorProtocol,
 };
 
 /// The per-agent twin of `VoterProtocol`: always pushes its opinion, adopts
@@ -61,7 +59,7 @@ fn degenerate_noiseless_fixed_point_is_identical() {
         SimulationConfig::new(n).with_seed(1),
     )
     .unwrap();
-    let mut dense_sim = DenseSimulation::new(
+    let mut dense_sim = StratifiedSimulation::single(
         RumorProtocol,
         NoiselessChannel,
         RumorProtocol::population(n as u64, 0, n as u64),
@@ -94,7 +92,7 @@ fn silent_population_is_identical() {
         SimulationConfig::new(n).with_seed(3),
     )
     .unwrap();
-    let mut dense_sim = DenseSimulation::new(
+    let mut dense_sim = StratifiedSimulation::single(
         RumorProtocol,
         NoiselessChannel,
         RumorProtocol::population(n as u64, 0, 0),
@@ -122,7 +120,7 @@ fn noiseless_rumor_reaches_the_same_absorbing_state() {
         SimulationConfig::new(n).with_seed(5),
     )
     .unwrap();
-    let mut dense_sim = DenseSimulation::new(
+    let mut dense_sim = StratifiedSimulation::single(
         RumorProtocol,
         NoiselessChannel,
         RumorProtocol::population(n as u64, 0, 1),
@@ -180,7 +178,7 @@ fn noisy_rumor_mean_trajectories_agree() {
         }
 
         let channel = BinarySymmetricChannel::from_epsilon(epsilon).unwrap();
-        let mut sim = DenseSimulation::new(
+        let mut sim = StratifiedSimulation::single(
             RumorProtocol,
             channel,
             RumorProtocol::population(n as u64, 0, 10),
@@ -246,7 +244,7 @@ fn noisy_voter_mean_splits_agree() {
             (n * 7 / 10) as u64,
         ])
         .unwrap();
-        let mut sim = DenseSimulation::new(
+        let mut sim = StratifiedSimulation::single(
             VoterProtocol,
             channel,
             population,
@@ -288,7 +286,7 @@ fn message_metrics_agree_in_expectation() {
     let channel = BinarySymmetricChannel::new(crossover).unwrap();
     let population =
         flip_model::DensePopulation::from_counts(vec![(n / 2) as u64, (n / 2) as u64]).unwrap();
-    let mut dense_sim = DenseSimulation::new(
+    let mut dense_sim = StratifiedSimulation::single(
         VoterProtocol,
         channel,
         population,
@@ -357,7 +355,7 @@ fn fused_noise_engine_matches_dense_voter_trajectories() {
         let population =
             flip_model::DensePopulation::from_counts(vec![(n / 5) as u64, (n * 4 / 5) as u64])
                 .unwrap();
-        let mut sim = DenseSimulation::new(
+        let mut sim = StratifiedSimulation::single(
             VoterProtocol,
             channel,
             population,
@@ -415,7 +413,7 @@ fn radix_routed_engine_matches_dense_voter_trajectories() {
         let ones = (n * 4 / 5) as u64;
         let population =
             flip_model::DensePopulation::from_counts(vec![n as u64 - ones, ones]).unwrap();
-        let mut sim = DenseSimulation::new(
+        let mut sim = StratifiedSimulation::single(
             VoterProtocol,
             channel,
             population,
@@ -474,7 +472,7 @@ fn parallel_radix_engine_matches_dense_voter_trajectories() {
         let ones = (n * 4 / 5) as u64;
         let population =
             flip_model::DensePopulation::from_counts(vec![n as u64 - ones, ones]).unwrap();
-        let mut sim = DenseSimulation::new(
+        let mut sim = StratifiedSimulation::single(
             VoterProtocol,
             channel,
             population,
@@ -527,7 +525,7 @@ fn per_message_fallback_engine_matches_dense_mean_trajectories() {
         }
 
         let channel = AdversarialCapChannel::new(0.1, 0.3).unwrap();
-        let mut sim = DenseSimulation::new(
+        let mut sim = StratifiedSimulation::single(
             RumorProtocol,
             channel,
             RumorProtocol::population(n as u64, 0, 10),
@@ -555,42 +553,6 @@ fn per_message_fallback_engine_matches_dense_mean_trajectories() {
 }
 
 // ---------------------------------------------- stratified & hybrid engines
-
-/// A single-stratum stratified run must be *bit-identical* to the dense
-/// engine from equal RNG states — `DenseSimulation` delegates to
-/// `StratifiedSimulation`, and this pins that an explicitly-constructed
-/// single-stratum simulation consumes the RNG stream in exactly the same
-/// order (no extra draws, no reordering).
-#[test]
-fn single_stratum_stratified_rounds_are_bit_identical_to_dense() {
-    let n = 10_000u64;
-    let channel = BinarySymmetricChannel::from_epsilon(0.2).unwrap();
-    let config = SimulationConfig::new(n as usize)
-        .with_seed(0xD0_5EED)
-        .with_reference(Opinion::One);
-    let mut dense = DenseSimulation::new(
-        RumorProtocol,
-        channel,
-        RumorProtocol::population(n, 0, 3),
-        config.clone(),
-    )
-    .unwrap();
-    let mut stratified = StratifiedSimulation::new(
-        RumorProtocol,
-        vec![channel],
-        StratifiedPopulation::single(RumorProtocol::population(n, 0, 3)),
-        config,
-    )
-    .unwrap();
-    for round in 0..40 {
-        assert_eq!(dense.step(), stratified.step(), "round {round}");
-    }
-    assert_eq!(dense.metrics(), stratified.metrics());
-    assert_eq!(
-        dense.population().counts(),
-        stratified.population().stratum(0).counts()
-    );
-}
 
 /// Mean trajectories of the two-stratum zealot scenario must agree between
 /// the per-agent reference engine (`ZealotAgent`) and the stratified dense
@@ -792,7 +754,7 @@ fn dense_million_agents_500_rounds_under_a_second() {
     let population = RumorProtocol::population(n, 0, 1_000);
     let config = SimulationConfig::new(n as usize).with_seed(42);
     let start = std::time::Instant::now();
-    let mut sim = DenseSimulation::new(RumorProtocol, channel, population, config).unwrap();
+    let mut sim = StratifiedSimulation::single(RumorProtocol, channel, population, config).unwrap();
     sim.run(500);
     let elapsed = start.elapsed();
     assert_eq!(sim.round(), 500);

@@ -13,8 +13,8 @@
 
 use breathe_paper as _;
 use flip_model::{
-    BinarySymmetricChannel, DenseSimulation, MajoritySamplerProtocol, Opinion, RumorProtocol,
-    SimulationConfig,
+    BinarySymmetricChannel, MajoritySamplerProtocol, Opinion, RumorProtocol, SimulationConfig,
+    StratifiedSimulation,
 };
 
 #[test]
@@ -24,12 +24,12 @@ fn rumor_golden_seed_snapshot_pins_the_dense_pipeline() {
     let config = SimulationConfig::new(10_000)
         .with_seed(0xD0_5EED)
         .with_reference(Opinion::One);
-    let mut sim =
-        DenseSimulation::new(RumorProtocol, channel, population, config).expect("valid parameters");
+    let mut sim = StratifiedSimulation::single(RumorProtocol, channel, population, config)
+        .expect("valid parameters");
     sim.run(30);
 
     // Exact post-run state counts: [uninformed, active-Zero, active-One].
-    assert_eq!(sim.population().counts(), &[0, 4_507, 5_493]);
+    assert_eq!(sim.population().stratum(0).counts(), &[0, 4_507, 5_493]);
     assert_eq!(sim.census().active(), 10_000);
     assert_eq!(sim.census().fraction_correct(Opinion::One), 0.5493);
 
@@ -53,14 +53,14 @@ fn majority_sampler_golden_seed_snapshot_pins_the_boost_pipeline() {
     let config = SimulationConfig::new(1_000_000)
         .with_seed(0xB1A5)
         .with_reference(Opinion::One);
-    let mut sim =
-        DenseSimulation::new(sampler, channel, population, config).expect("valid parameters");
+    let mut sim = StratifiedSimulation::single(sampler, channel, population, config)
+        .expect("valid parameters");
     sim.run(46);
 
     // After two phases every agent sits in a fresh-phase state: the exact
     // split between the Zero-camp base state (0) and the One-camp base
     // state (300) is the snapshot.
-    let counts = sim.population().counts();
+    let counts = sim.population().stratum(0).counts();
     assert_eq!(counts.len(), 600);
     let nonzero: Vec<(usize, u64)> = counts
         .iter()
@@ -87,11 +87,11 @@ fn dense_snapshots_are_seed_sensitive() {
         let config = SimulationConfig::new(10_000)
             .with_seed(seed)
             .with_reference(Opinion::One);
-        let mut sim = DenseSimulation::new(RumorProtocol, channel, population, config)
+        let mut sim = StratifiedSimulation::single(RumorProtocol, channel, population, config)
             .expect("valid parameters");
         sim.run(30);
         (
-            sim.population().counts().to_vec(),
+            sim.population().stratum(0).counts().to_vec(),
             sim.metrics().messages_sent,
         )
     };
