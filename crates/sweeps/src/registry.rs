@@ -257,28 +257,6 @@ impl ProtocolRegistry {
         self.run_trial_with_context(spec, trial, &TrialContext::sequential())
     }
 
-    /// Runs one trial of `spec`, granting it `round_threads` intra-round
-    /// worker lanes (the orchestrator passes
-    /// [`TrialRunner::round_threads`](crate::TrialRunner::round_threads)
-    /// here so trial fan-out and round workers share one budget).
-    ///
-    /// Results are bit-identical to [`ProtocolRegistry::run_trial`] for
-    /// every `round_threads` value — the lanes trade wall-clock for cores,
-    /// never determinism.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ProtocolRegistry::resolve`] failures and simulation
-    /// errors from the protocol itself.
-    pub fn run_trial_with_threads(
-        &self,
-        spec: &ScenarioSpec,
-        trial: u64,
-        round_threads: usize,
-    ) -> Result<Vec<(&'static str, f64)>, SweepError> {
-        self.run_trial_with_context(spec, trial, &TrialContext::new(round_threads))
-    }
-
     /// Runs one trial of `spec` under an explicit [`TrialContext`] (thread
     /// budget plus optional telemetry hub).  The telemetry attachment obeys
     /// the same invariance contract as the thread budget: metrics are
@@ -794,6 +772,22 @@ fn with_faults(config: SimulationConfig, fault: Option<FaultSpec>) -> Simulation
     }
 }
 
+/// The cell's population size for a runner that builds a population: push
+/// gossip needs at least two agents.  (`ScenarioSpec::validate` cannot
+/// demand this, because some builtin sweeps run non-population protocols at
+/// `n = 1`.)
+fn population_n(spec: &ScenarioSpec) -> Result<usize, SweepError> {
+    let n = usize::try_from(spec.n())
+        .map_err(|_| SweepError::Spec("`n` does not fit in usize".into()))?;
+    if n < 2 {
+        return Err(SweepError::Spec(format!(
+            "`{}` needs a population of n >= 2 agents, got n = {n}",
+            spec.protocol
+        )));
+    }
+    Ok(n)
+}
+
 /// Validates a hybrid tracked-subpopulation size against the cell's `n`.
 fn hybrid_tracked(k: u32, n: usize) -> Result<usize, SweepError> {
     let k = k as usize;
@@ -831,9 +825,14 @@ fn run_rumor(
             "`rumor` needs a round cap (`rounds` > 0)".into(),
         ));
     }
-    let n = usize::try_from(spec.n())
-        .map_err(|_| SweepError::Spec("`n` does not fit in usize".into()))?;
+    let n = population_n(spec)?;
     let informed = spec.param_or("informed", 1.0) as u64;
+    if informed > spec.n() {
+        return Err(SweepError::Spec(format!(
+            "`informed` = {informed} exceeds n = {}",
+            spec.n()
+        )));
+    }
     let fault = fault_spec_for(spec)?;
     let channel = BinarySymmetricChannel::from_epsilon(spec.epsilon())
         .map_err(|e| SweepError::Spec(e.to_string()))?;
@@ -921,8 +920,7 @@ fn run_rumor_zealot(
             "`rumor-zealot` needs a round cap (`rounds` > 0)".into(),
         ));
     }
-    let n = usize::try_from(spec.n())
-        .map_err(|_| SweepError::Spec("`n` does not fit in usize".into()))?;
+    let n = population_n(spec)?;
     let informed = spec.param_or("informed", 1.0) as u64;
     let zealots = spec.param_or("zealots", 0.0) as u64;
     if zealots == 0 {
@@ -1026,6 +1024,7 @@ fn run_majority_sampler(
     _ctx: &TrialContext,
 ) -> Result<Vec<(&'static str, f64)>, SweepError> {
     let epsilon = spec.epsilon();
+    let size = population_n(spec)?;
     let n = spec.n();
     let bias = spec.param_or("initial_bias", 0.01);
     if !(-0.5..=0.5).contains(&bias) {
@@ -1040,11 +1039,9 @@ fn run_majority_sampler(
     let population = sampler.population(n - correct, correct);
     let channel = BinarySymmetricChannel::from_epsilon(epsilon)
         .map_err(|e| SweepError::Spec(e.to_string()))?;
-    let config = SimulationConfig::new(
-        usize::try_from(n).map_err(|_| SweepError::Spec("`n` does not fit in usize".into()))?,
-    )
-    .with_seed(spec.seed_for_trial(trial))
-    .with_reference(Opinion::One);
+    let config = SimulationConfig::new(size)
+        .with_seed(spec.seed_for_trial(trial))
+        .with_reference(Opinion::One);
     let mut sim = StratifiedSimulation::single(sampler, channel, population, config)?;
     sim.run(phases * phase_len);
     let fraction = sim.census().fraction_correct(Opinion::One);
@@ -1768,6 +1765,37 @@ mod tests {
             assert_ne!(a, c, "different trials use different seeds ({backend})");
             let names: Vec<&str> = a.iter().map(|(k, _)| *k).collect();
             assert_eq!(names, vec!["rounds", "fraction_correct", "messages_sent"]);
+
+            // Malformed population cells are spec errors, never panics
+            // (a panic would take down every sweep worker).
+            let malformed = [
+                (
+                    "rumor",
+                    100.0,
+                    &[("informed", 500.0)][..],
+                    "exceeds n = 100",
+                ),
+                ("rumor", 1.0, &[][..], "n >= 2"),
+                ("rumor-zealot", 1.0, &[("zealots", 1.0)][..], "n >= 2"),
+                ("majority-sampler", 1.0, &[][..], "n >= 2"),
+            ];
+            for (protocol, n, extra, needle) in malformed {
+                let mut params = vec![("n", n), ("epsilon", 0.25)];
+                params.extend_from_slice(extra);
+                let bad = cell(protocol, backend, &params);
+                if registry.resolve(&bad).is_err() {
+                    continue; // `majority-sampler` is dense-only
+                }
+                match registry.run_trial(&bad, 0) {
+                    Err(SweepError::Spec(message)) => {
+                        assert!(
+                            message.contains(needle),
+                            "{protocol} ({backend}): {message}"
+                        );
+                    }
+                    other => panic!("{protocol} at n = {n} ({backend}): {other:?}"),
+                }
+            }
         }
     }
 
@@ -1784,10 +1812,12 @@ mod tests {
                 backend,
                 &[("n", 400.0), ("epsilon", 0.25), ("informed", 3.0)],
             );
-            let sequential = registry.run_trial_with_threads(&spec, 0, 1).unwrap();
+            let sequential = registry
+                .run_trial_with_context(&spec, 0, &TrialContext::new(1))
+                .unwrap();
             for round_threads in [2, 4, 7] {
                 let threaded = registry
-                    .run_trial_with_threads(&spec, 0, round_threads)
+                    .run_trial_with_context(&spec, 0, &TrialContext::new(round_threads))
                     .unwrap();
                 assert_eq!(
                     threaded, sequential,

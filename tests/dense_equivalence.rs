@@ -554,6 +554,38 @@ fn per_message_fallback_engine_matches_dense_mean_trajectories() {
 
 // ---------------------------------------------- stratified & hybrid engines
 
+/// A homogeneous population built with the one-stratum constructor
+/// (`StratifiedSimulation::single`, the dense construction path) must run
+/// *bit-identically* to an explicitly stratified one-stratum simulation
+/// from equal seeds: the constructor adds no draws and reorders none.
+#[test]
+fn single_stratum_stratified_rounds_are_bit_identical_to_dense() {
+    let n = 10_000u64;
+    let channel = BinarySymmetricChannel::from_epsilon(0.2).unwrap();
+    let config = SimulationConfig::new(n as usize)
+        .with_seed(0xD0_5EED)
+        .with_reference(Opinion::One);
+    let mut dense = StratifiedSimulation::single(
+        RumorProtocol,
+        channel,
+        RumorProtocol::population(n, 0, 3),
+        config.clone(),
+    )
+    .unwrap();
+    let mut stratified = StratifiedSimulation::new(
+        RumorProtocol,
+        vec![channel],
+        StratifiedPopulation::single(RumorProtocol::population(n, 0, 3)),
+        config,
+    )
+    .unwrap();
+    for round in 0..40 {
+        assert_eq!(dense.step(), stratified.step(), "round {round}");
+    }
+    assert_eq!(dense.metrics(), stratified.metrics());
+    assert_eq!(dense.population(), stratified.population());
+}
+
 /// Mean trajectories of the two-stratum zealot scenario must agree between
 /// the per-agent reference engine (`ZealotAgent`) and the stratified dense
 /// engine (`ZealotRumorProtocol`) within the Chernoff allowance — the
