@@ -634,18 +634,6 @@ impl<P: StratifiedProtocol, C: Channel> StratifiedSimulation<P, C> {
         self.round
     }
 
-    /// The protocol in use.
-    #[must_use]
-    pub fn protocol(&self) -> &P {
-        &self.protocol
-    }
-
-    /// The per-stratum channels in use.
-    #[must_use]
-    pub fn channels(&self) -> &[C] {
-        &self.channels
-    }
-
     /// Consumes the simulation, returning the final population and metrics.
     #[must_use]
     pub fn into_parts(self) -> (StratifiedPopulation, Metrics) {
