@@ -86,7 +86,8 @@ pub struct DensePopulation {
 }
 
 impl DensePopulation {
-    /// Builds one stratum of a [`StratifiedPopulation`](crate::StratifiedPopulation) from raw counts,
+    /// Builds one stratum of a
+    /// [`StratifiedPopulation`](crate::StratifiedPopulation) from raw counts,
     /// skipping the two-agent minimum: individual strata may be empty; only
     /// the stratified total is subject to the push-gossip size floor.
     pub(crate) fn stratum_from_counts(counts: Vec<u64>) -> Self {

@@ -827,10 +827,9 @@ fn run_rumor(
     }
     let n = population_n(spec)?;
     let informed = spec.param_or("informed", 1.0) as u64;
-    if informed > spec.n() {
+    if informed > n as u64 {
         return Err(SweepError::Spec(format!(
-            "`informed` = {informed} exceeds n = {}",
-            spec.n()
+            "`informed` = {informed} exceeds n = {n}"
         )));
     }
     let fault = fault_spec_for(spec)?;
