@@ -46,7 +46,9 @@ impl ForwardingAgent {
 }
 
 impl Agent for ForwardingAgent {
-    const USES_END_ROUND: bool = false;
+    fn end_round_due(_agents: &[Self], _round: Round) -> bool {
+        false
+    }
     fn send(&mut self, round: Round, _rng: &mut SimRng) -> Option<Opinion> {
         // Forward from the round after adoption (a message heard this round is
         // only forwarded starting next round).

@@ -23,7 +23,9 @@ struct VoterAgent {
 }
 
 impl Agent for VoterAgent {
-    const USES_END_ROUND: bool = false;
+    fn end_round_due(_agents: &[Self], _round: Round) -> bool {
+        false
+    }
     fn send(&mut self, _round: Round, _rng: &mut SimRng) -> Option<Opinion> {
         self.opinion
     }

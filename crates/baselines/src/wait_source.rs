@@ -24,7 +24,9 @@ struct WaitAgent {
 }
 
 impl Agent for WaitAgent {
-    const USES_END_ROUND: bool = false;
+    fn end_round_due(_agents: &[Self], _round: Round) -> bool {
+        false
+    }
     fn send(&mut self, _round: Round, _rng: &mut SimRng) -> Option<Opinion> {
         self.source_opinion
     }

@@ -2,6 +2,7 @@
 //! channel), used as an ablation reference point: how much of the protocol's
 //! wall-clock cost is the communication substrate versus protocol logic.
 
+use breathe::{BroadcastProtocol, Params};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flip_model::{
     Agent, BernoulliSkip, BinarySymmetricChannel, Channel, GossipScheduler, Opinion, OpinionDelta,
@@ -11,7 +12,9 @@ use flip_model::{
 struct Beacon(Opinion);
 
 impl Agent for Beacon {
-    const USES_END_ROUND: bool = false;
+    fn end_round_due(_agents: &[Self], _round: Round) -> bool {
+        false
+    }
     fn send(&mut self, _round: Round, _rng: &mut SimRng) -> Option<Opinion> {
         Some(self.0)
     }
@@ -229,6 +232,27 @@ fn substrate(c: &mut Criterion) {
             .with_faults("byz:0.1".parse().expect("valid directive"));
         let mut sim = Simulation::new(agents, channel, config).expect("valid simulation");
         b.iter(|| sim.step().metrics.messages_sent);
+    });
+
+    // One Stage I and one Stage II round of the paper's own agent at
+    // n = 10⁵, ε = 0.3: one broadcast population stepped inside the final
+    // Stage I phase (the layers activated so far push, the rest listen and
+    // sample) and one inside the first Stage II phase (everyone pushes and
+    // tallies).  The other engine benches drive a `Beacon`; this one adds
+    // the schedule lookups and stage state machines of `BreatheAgent`.
+    // Both phases outlast any sample count the gate uses, so every timed
+    // round stays in its stage.
+    let protocol = BroadcastProtocol::new(
+        Params::practical(100_000, 0.3).expect("valid parameters"),
+        Opinion::One,
+    );
+    let schedule = protocol.schedule();
+    let mut stage1 = protocol.build_simulation(5).expect("valid simulation");
+    stage1.run(schedule.phases()[schedule.last_spreading_phase()].start);
+    let mut stage2 = protocol.build_simulation(5).expect("valid simulation");
+    stage2.run(schedule.spreading_rounds());
+    group.bench_function("breathe_round_n1e5", |b| {
+        b.iter(|| stage1.step().metrics.messages_sent + stage2.step().metrics.messages_sent);
     });
 
     // End-to-end cost of the spec layer itself: protocol resolution plus one

@@ -61,6 +61,23 @@ impl BreatheAgent {
 }
 
 impl Agent for BreatheAgent {
+    /// Stage I and Stage II act only at phase ends, so the pass is due
+    /// exactly in the last round of a phase of the population's schedule.
+    ///
+    /// All agents of a population follow one schedule (the runners hand
+    /// every agent a clone of the same `Arc`), so the first agent answers
+    /// for all.
+    fn end_round_due(agents: &[Self], round: Round) -> bool {
+        agents.first().is_some_and(|first| {
+            let schedule = first.core.schedule();
+            debug_assert!(
+                agents.iter().all(|a| a.core.schedule() == schedule),
+                "a BreatheAgent population must share one schedule"
+            );
+            schedule.is_last_round(round)
+        })
+    }
+
     fn send(&mut self, round: Round, _rng: &mut SimRng) -> Option<Opinion> {
         match self.core.schedule().position(round) {
             Position::Active { phase, .. } => self.core.send_in_phase(phase),
@@ -432,6 +449,12 @@ mod tests {
         );
         assert_eq!(agents[0].opinion(), Some(Opinion::One));
         assert_eq!(agents[1].opinion(), None);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn breathe_agent_packs_into_32_bytes() {
+        assert_eq!(std::mem::size_of::<BreatheAgent>(), 32);
     }
 
     #[test]

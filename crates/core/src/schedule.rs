@@ -79,6 +79,9 @@ pub enum Position {
 pub struct Schedule {
     phases: Vec<PhaseSpec>,
     spreading_phase_count: usize,
+    /// Index into `phases` of the phase each round belongs to, so that
+    /// [`Schedule::position`] is a table read rather than a search.
+    phase_of_round: Vec<u16>,
 }
 
 impl Schedule {
@@ -145,9 +148,32 @@ impl Schedule {
             len: params.final_phase_len(),
             samples: Some(params.final_samples()),
         });
+        // Stage I stores its activation level as a `u16` and Stage II tallies
+        // the messages of one phase in `u32`s (at most one per round), so a
+        // schedule that outgrows either width is refused here rather than
+        // left to wrap silently inside an agent.
+        let phase_count = u16::try_from(phases.len()).unwrap_or_else(|_| {
+            panic!(
+                "a schedule of {} phases exceeds the limit of {} (u16::MAX) phases",
+                phases.len(),
+                u16::MAX
+            )
+        });
+        let mut phase_of_round = Vec::new();
+        for (idx, phase) in (0..phase_count).zip(&phases) {
+            let len = u32::try_from(phase.len).unwrap_or_else(|_| {
+                panic!(
+                    "phase {idx} lasts {} rounds, over the limit of {} (u32::MAX) rounds per phase",
+                    phase.len,
+                    u32::MAX
+                )
+            });
+            phase_of_round.resize(phase_of_round.len() + len as usize, idx);
+        }
         Self {
             phases,
             spreading_phase_count: spreading_lens.len(),
+            phase_of_round,
         }
     }
 
@@ -200,9 +226,36 @@ impl Schedule {
     }
 
     /// Locates `round` in the unshifted (fully-synchronous) schedule.
+    ///
+    /// O(1): a read of the per-round phase table built with the schedule.
     #[must_use]
     pub fn position(&self, round: u64) -> Position {
-        self.position_with_shift(round, 0)
+        let phase = usize::try_from(round)
+            .ok()
+            .and_then(|r| self.phase_of_round.get(r));
+        let Some(&phase) = phase else {
+            return Position::Done;
+        };
+        let phase = usize::from(phase);
+        let spec = &self.phases[phase];
+        Position::Active {
+            phase,
+            round_in_phase: round - spec.start,
+            is_last_round: round + 1 == spec.end(),
+        }
+    }
+
+    /// Whether `round` is the last round of a phase in the unshifted
+    /// schedule, i.e. whether fully-synchronous agents end a phase in it.
+    #[must_use]
+    pub fn is_last_round(&self, round: u64) -> bool {
+        matches!(
+            self.position(round),
+            Position::Active {
+                is_last_round: true,
+                ..
+            }
+        )
     }
 
     /// Locates a *local-clock* time in the clock-shifted schedule of paper
@@ -214,17 +267,13 @@ impl Schedule {
     /// to the upcoming phase.
     #[must_use]
     pub fn shifted_position(&self, local_time: u64, d: u64) -> Position {
-        self.position_with_shift(local_time, d)
-    }
-
-    fn position_with_shift(&self, time: u64, d: u64) -> Position {
         // Binary search for the first phase whose shifted window has not ended.
         let mut lo = 0usize;
         let mut hi = self.phases.len();
         while lo < hi {
             let mid = (lo + hi) / 2;
             let window_end = self.phases[mid].start + mid as u64 * d + self.phases[mid].len;
-            if window_end <= time {
+            if window_end <= local_time {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -236,10 +285,10 @@ impl Schedule {
         }
         let phase = &self.phases[idx];
         let window_start = phase.start + idx as u64 * d;
-        if time < window_start {
+        if local_time < window_start {
             Position::Waiting { next_phase: idx }
         } else {
-            let round_in_phase = time - window_start;
+            let round_in_phase = local_time - window_start;
             Position::Active {
                 phase: idx,
                 round_in_phase,
@@ -359,6 +408,28 @@ mod tests {
                 schedule.shifted_position(round, 0)
             );
         }
+    }
+
+    #[test]
+    fn is_last_round_marks_exactly_the_phase_ends() {
+        let schedule = Schedule::broadcast(&Params::practical(500, 0.3).unwrap());
+        let ends: Vec<u64> = (0..=schedule.total_rounds())
+            .filter(|&round| schedule.is_last_round(round))
+            .collect();
+        let expected: Vec<u64> = schedule.phases().iter().map(|p| p.end() - 1).collect();
+        assert_eq!(ends, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "u32::MAX")]
+    fn a_phase_longer_than_u32_rounds_is_refused() {
+        let _ = Schedule::from_lens(&params(), &[u64::from(u32::MAX) + 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "u16::MAX")]
+    fn more_phases_than_u16_is_refused() {
+        let _ = Schedule::from_lens(&params(), &vec![1; usize::from(u16::MAX)]);
     }
 
     #[test]

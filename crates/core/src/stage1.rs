@@ -20,8 +20,9 @@ pub struct Stage1State {
     /// source, or a member of the initial set `A` in majority consensus).
     initially_informed: bool,
     /// Phase (index into the schedule's spreading phases) in which the agent
-    /// was activated; `Some(0)` for initially informed agents.
-    level: Option<usize>,
+    /// was activated; `Some(0)` for initially informed agents.  A `u16`
+    /// suffices: [`Schedule`](crate::Schedule) refuses more phases than that.
+    level: Option<u16>,
     /// Messages heard during the activation phase.
     heard_in_level_phase: u32,
     /// Reservoir-sampled candidate among those messages.
@@ -67,7 +68,7 @@ impl Stage1State {
     /// The spreading phase in which this agent was activated, if any.
     #[must_use]
     pub fn level(&self) -> Option<usize> {
-        self.level
+        self.level.map(usize::from)
     }
 
     /// The initial opinion adopted by the agent, if already set.
@@ -89,7 +90,9 @@ impl Stage1State {
     #[must_use]
     pub fn send(&self, phase: usize) -> Option<Opinion> {
         match self.level {
-            Some(level) if self.initially_informed || phase > level => self.initial_opinion,
+            Some(level) if self.initially_informed || phase > usize::from(level) => {
+                self.initial_opinion
+            }
             _ => None,
         }
     }
@@ -101,17 +104,25 @@ impl Stage1State {
     /// initial opinion is drawn at the end of the phase.  Messages heard in
     /// later phases are ignored (the paper's agents never revise their initial
     /// opinion during Stage I).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dormant agent is activated in a phase beyond
+    /// `u16::MAX`, which no [`Schedule`](crate::Schedule) has.
     pub fn deliver(&mut self, phase: usize, message: Opinion, rng: &mut SimRng) {
         if self.initial_opinion.is_some() || self.initially_informed {
             return;
         }
         match self.level {
             None => {
-                self.level = Some(phase);
+                let level = u16::try_from(phase).unwrap_or_else(|_| {
+                    panic!("spreading phase {phase} exceeds the limit of u16::MAX phases")
+                });
+                self.level = Some(level);
                 self.heard_in_level_phase = 1;
                 self.reservoir = Some(message);
             }
-            Some(level) if level == phase => {
+            Some(level) if usize::from(level) == phase => {
                 self.heard_in_level_phase += 1;
                 // Reservoir sampling keeps each heard message with equal probability.
                 if rng.gen_range(0..self.heard_in_level_phase) == 0 {
@@ -131,7 +142,7 @@ impl Stage1State {
         if self.initially_informed {
             return;
         }
-        if self.level == Some(phase) && self.initial_opinion.is_none() {
+        if self.level() == Some(phase) && self.initial_opinion.is_none() {
             self.initial_opinion = self.reservoir;
         }
     }

@@ -10,11 +10,15 @@ use flip_model::{Opinion, SimRng};
 use rand::Rng;
 
 /// The Stage II state of a single agent.
+///
+/// The tallies are `u32`: an agent accepts at most one message per round,
+/// and [`Schedule`](crate::Schedule) refuses phases longer than `u32::MAX`
+/// rounds.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Stage2State {
     opinion: Option<Opinion>,
-    zeros_received: u64,
-    ones_received: u64,
+    zeros_received: u32,
+    ones_received: u32,
 }
 
 impl Stage2State {
@@ -40,7 +44,7 @@ impl Stage2State {
     /// Number of messages received so far in the current phase.
     #[must_use]
     pub fn received_in_phase(&self) -> u64 {
-        self.zeros_received + self.ones_received
+        u64::from(self.zeros_received) + u64::from(self.ones_received)
     }
 
     /// The message to push this round: the current opinion (silent if none).
@@ -75,7 +79,8 @@ impl Stage2State {
         let received = self.received_in_phase();
         let successful = received >= phase_len / 2 && received >= samples;
         if successful {
-            let ones_drawn = draw_without_replacement(self.ones_received, received, samples, rng);
+            let ones_drawn =
+                draw_without_replacement(u64::from(self.ones_received), received, samples, rng);
             let new_opinion = if 2 * ones_drawn > samples {
                 Opinion::One
             } else {

@@ -128,7 +128,8 @@ impl OpinionDelta {
 ///    message per recipient (uniformly among those that arrived), corrupts the
 ///    bit through the channel, and calls [`deliver`](Agent::deliver) on the
 ///    recipient,
-/// 3. calls [`end_round`](Agent::end_round) on every agent.
+/// 3. calls [`end_round`](Agent::end_round) on every agent, unless
+///    [`end_round_due`](Agent::end_round_due) says the pass has nothing to do.
 ///
 /// Agents never learn who they talked to.  The `round` argument is the global
 /// round counter; protocols relying only on local clocks must ignore it.
@@ -143,13 +144,27 @@ impl OpinionDelta {
 /// it has no way to report a delta.  (Debug builds of the engine periodically
 /// recount the population and assert agreement.)
 pub trait Agent {
-    /// Whether this agent type has a non-trivial [`end_round`](Agent::end_round).
+    /// Whether the end-of-round pass must run in `round` for this population.
     ///
-    /// Protocols that never act at end of round (most of the simple dynamics:
-    /// rumor spreading, voter models, beacons) can set this to `false`, and
-    /// the engine statically skips its O(n) end-of-round hook loop.  Leave it
-    /// `true` (the default) whenever `end_round` is overridden.
-    const USES_END_ROUND: bool = true;
+    /// The engine asks once per round and skips its O(n) pass over
+    /// [`end_round`](Agent::end_round) when the answer is `false`.  The
+    /// default, `true`, always runs the pass.  Protocols that never act at
+    /// end of round (rumor spreading, voter models, beacons) return `false`;
+    /// phase-based protocols on one shared schedule return whether `round`
+    /// ends a phase.
+    ///
+    /// Contract: when this returns `false`, `end_round` is a no-op for every
+    /// agent in `agents` — it returns [`OpinionDelta::NONE`], draws nothing
+    /// from the RNG and changes no state.  (Debug builds of the engine
+    /// periodically run the skipped pass on a cloned RNG and assert the
+    /// first two.)
+    fn end_round_due(agents: &[Self], round: Round) -> bool
+    where
+        Self: Sized,
+    {
+        let _ = (agents, round);
+        true
+    }
 
     /// Decides what to transmit this round; `None` means stay silent ("breathe").
     ///
@@ -189,6 +204,29 @@ pub trait Agent {
     fn is_done(&self) -> bool {
         false
     }
+}
+
+/// Debug-build audit of the [`Agent::end_round_due`] contract, run by the
+/// engines in a round whose end-of-round pass they skipped: runs that pass
+/// against a clone of the stream and asserts that no hook reports a change
+/// and none draws from it.
+#[cfg(debug_assertions)]
+pub(crate) fn audit_skipped_end_round<A: Agent>(agents: &mut [A], round: Round, rng: &SimRng) {
+    use rand::RngCore;
+
+    let mut probe = rng.clone();
+    for agent in agents {
+        assert_eq!(
+            agent.end_round(round, &mut probe),
+            OpinionDelta::NONE,
+            "end_round changed an opinion in round {round}, which end_round_due skipped"
+        );
+    }
+    assert_eq!(
+        probe.next_u64(),
+        rng.clone().next_u64(),
+        "end_round drew from the RNG in round {round}, which end_round_due skipped"
+    );
 }
 
 #[cfg(test)]

@@ -120,7 +120,9 @@ impl RumorAgent {
 }
 
 impl Agent for RumorAgent {
-    const USES_END_ROUND: bool = false;
+    fn end_round_due(_agents: &[Self], _round: Round) -> bool {
+        false
+    }
     fn send(&mut self, _round: Round, _rng: &mut SimRng) -> Option<Opinion> {
         self.opinion
     }
@@ -390,7 +392,9 @@ impl ZealotAgent {
 }
 
 impl Agent for ZealotAgent {
-    const USES_END_ROUND: bool = false;
+    fn end_round_due(_agents: &[Self], _round: Round) -> bool {
+        false
+    }
 
     fn send(&mut self, round: Round, rng: &mut SimRng) -> Option<Opinion> {
         match self {

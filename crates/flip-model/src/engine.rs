@@ -387,9 +387,15 @@ impl<A: Agent, C: Channel> Simulation<A, C> {
         }
         tel.add(Event::FaultSuppressedDeliveries, suppressed);
 
-        // Phase 3: end-of-round hooks (statically skipped for agent types
-        // that declare the hook unused).
-        if A::USES_END_ROUND {
+        // Phase 3: end-of-round hooks, skipped in every round the agent type
+        // reports as idle (never, for protocols without the hook; between
+        // phase boundaries, for phase-based ones).
+        let end_round_due = A::end_round_due(agents, round);
+        #[cfg(debug_assertions)]
+        if !end_round_due && round.is_multiple_of(64) {
+            crate::agent::audit_skipped_end_round(agents, round, rng);
+        }
+        if end_round_due {
             let span = tel.begin();
             match faults {
                 None => {

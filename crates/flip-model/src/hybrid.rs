@@ -319,7 +319,12 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
         let span = self.telemetry.begin();
         self.bulk.swap();
         self.telemetry.end(Phase::CensusApply, span);
-        if A::USES_END_ROUND {
+        let end_round_due = A::end_round_due(&self.tracked, round);
+        #[cfg(debug_assertions)]
+        if !end_round_due && round.is_multiple_of(64) {
+            crate::agent::audit_skipped_end_round(&mut self.tracked, round, &self.rng);
+        }
+        if end_round_due {
             let span = self.telemetry.begin();
             match &self.faults {
                 None => {

@@ -270,7 +270,10 @@ impl GossipScheduler {
             span,
             threshold: span.wrapping_neg() % span,
             slots: vec![0; n],
-            recipients: Vec::new(),
+            // Reserved up to the dense crossover, the most a sparse round
+            // can hold, so a round whose sender count outgrows every earlier
+            // one (a Stage I layer, say) does not allocate mid-run.
+            recipients: Vec::with_capacity(n >> DENSE_SEND_SHIFT),
             bucket_cursors: Vec::new(),
             // Pre-sized so that the (≈ never taken) spill path does not
             // allocate mid-round; 1024 entries is > 6σ beyond any real

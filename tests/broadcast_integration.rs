@@ -1,8 +1,12 @@
 //! End-to-end integration tests for the noisy broadcast protocol
 //! (Theorem 2.17), spanning the `flip-model` and `breathe` crates.
 
-use breathe::{BroadcastProtocol, Multipliers, Params, Schedule, StageKind};
-use flip_model::Opinion;
+use breathe::{
+    BreatheAgent, BroadcastProtocol, InitialSet, MajorityConsensusProtocol, Multipliers, Params,
+    Schedule, StageKind,
+};
+use flip_model::{Agent, Opinion, OpinionDelta, SimRng};
+use rand::RngCore;
 
 #[test]
 fn broadcast_reaches_consensus_across_populations_and_noise_levels() {
@@ -116,4 +120,52 @@ fn custom_multipliers_flow_through_to_the_schedule() {
         "{}",
         outcome.fraction_correct
     );
+}
+
+/// The engine skips the end-of-round pass whenever
+/// `BreatheAgent::end_round_due` says so.  Walk every round of a broadcast
+/// and a majority-consensus run and check the skip is sound on the live,
+/// mid-run population (informed and uninformed agents, Stage I reservoirs
+/// and Stage II tallies mid-phase, plus a fresh delivery to every third
+/// agent): in each skipped round, `end_round` reports no change and leaves
+/// the stream untouched.
+#[test]
+fn skipped_end_round_passes_change_nothing_and_draw_nothing() {
+    let params = Params::practical(300, 0.3).unwrap();
+    let broadcast = BroadcastProtocol::new(params.clone(), Opinion::One);
+    let majority =
+        MajorityConsensusProtocol::new(params, Opinion::Zero, InitialSet::new(40, 20)).unwrap();
+    let runs = [
+        (broadcast.build_simulation(3).unwrap(), broadcast.schedule()),
+        (majority.build_simulation(4).unwrap(), majority.schedule()),
+    ];
+    for (mut sim, schedule) in runs {
+        let mut skipped = 0;
+        for round in 0..=schedule.total_rounds() {
+            if !BreatheAgent::end_round_due(sim.agents(), round) {
+                skipped += 1;
+                let mut rng = SimRng::from_seed(round);
+                let mut agents = sim.agents().to_vec();
+                for (i, agent) in agents.iter_mut().enumerate() {
+                    if i % 3 == 0 {
+                        let message = Opinion::from_bit(u8::from(i % 2 == 0));
+                        let _ = agent.deliver(round, message, &mut rng);
+                    }
+                    let mut untouched = rng.clone();
+                    assert_eq!(agent.end_round(round, &mut rng), OpinionDelta::NONE);
+                    assert_eq!(
+                        rng.next_u64(),
+                        untouched.next_u64(),
+                        "agent {i} drew from the stream in skipped round {round}"
+                    );
+                }
+            }
+            sim.step();
+        }
+        assert_eq!(
+            skipped,
+            schedule.total_rounds() + 1 - schedule.phase_count() as u64,
+            "only the phase-end rounds run the pass"
+        );
+    }
 }

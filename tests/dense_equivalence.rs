@@ -28,7 +28,9 @@ struct Voter {
 }
 
 impl Agent for Voter {
-    const USES_END_ROUND: bool = false;
+    fn end_round_due(_agents: &[Self], _round: Round) -> bool {
+        false
+    }
     fn send(&mut self, _round: Round, _rng: &mut SimRng) -> Option<Opinion> {
         Some(self.opinion)
     }

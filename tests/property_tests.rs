@@ -99,6 +99,33 @@ proptest! {
         prop_assert_eq!(waiting, d * (schedule.phase_count() as u64 - 1));
     }
 
+    /// The O(1) per-round table behind `Schedule::position` agrees with the
+    /// binary search of `shifted_position` at zero shift, for broadcast and
+    /// majority-consensus schedules, on every round up to one past the end
+    /// (so `Done` is covered too).
+    #[test]
+    fn position_table_matches_zero_shift_search(
+        n in 64usize..5_000,
+        eps_milli in 120u32..450,
+        set_permille in 1usize..1_000,
+    ) {
+        let epsilon = f64::from(eps_milli) / 1_000.0;
+        prop_assume!(epsilon >= 1.0 / (n as f64).sqrt());
+        let params = Params::practical(n, epsilon).unwrap();
+        let initial_set = (n * set_permille / 1_000).max(1);
+        for schedule in [
+            Schedule::broadcast(&params),
+            Schedule::majority_consensus(&params, initial_set),
+        ] {
+            for round in 0..=schedule.total_rounds() + 1 {
+                prop_assert_eq!(
+                    schedule.position(round),
+                    schedule.shifted_position(round, 0)
+                );
+            }
+        }
+    }
+
     /// Parameter derivations respect the paper's structural constraints.
     #[test]
     fn params_derived_quantities_are_well_formed(

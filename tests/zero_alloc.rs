@@ -14,6 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use breathe::{BroadcastProtocol, Params};
 use breathe_paper as _;
 use flip_model::{
     Agent, BinarySymmetricChannel, Opinion, OpinionDelta, Round, RumorAgent, SimRng, Simulation,
@@ -69,7 +70,9 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 struct Churner(Opinion);
 
 impl Agent for Churner {
-    const USES_END_ROUND: bool = false;
+    fn end_round_due(_agents: &[Self], _round: Round) -> bool {
+        false
+    }
     fn send(&mut self, _round: Round, _rng: &mut SimRng) -> Option<Opinion> {
         Some(self.0)
     }
@@ -126,6 +129,34 @@ fn simulation_round_loop_is_allocation_free_after_warm_up() {
         after - before,
         0,
         "the rumor round loop allocated {} time(s) after warm-up",
+        after - before
+    );
+}
+
+#[test]
+fn breathe_rounds_are_allocation_free_after_warm_up() {
+    // The paper's own agent: Stage I rounds (sparse senders, reservoir
+    // draws, phase ends) and Stage II rounds (everyone pushes, tallies,
+    // sample draws at phase ends) run through the same buffers, and the
+    // schedule lookups behind `send`/`deliver`/`end_round_due` are reads.
+    let params = Params::practical(2_000, 0.3).unwrap();
+    let protocol = BroadcastProtocol::new(params, Opinion::One);
+    let total = protocol.schedule().total_rounds();
+    let stage1 = protocol.schedule().spreading_rounds();
+    assert!(stage1 > 50 && total > stage1 + 100, "schedule too short");
+    let mut sim = protocol.build_simulation(80).unwrap();
+    // Warm up on the first Stage I rounds, the sparsest ones; the buffers
+    // are pre-sized to the population, so later Stage II rounds, where
+    // every agent sends, must not grow them either.
+    sim.run(50);
+
+    let before = thread_allocations();
+    sim.run(total - 50);
+    let after = thread_allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "the breathe round loop allocated {} time(s) after warm-up",
         after - before
     );
 }
