@@ -2,8 +2,10 @@
 //! channel), used as an ablation reference point: how much of the protocol's
 //! wall-clock cost is the communication substrate versus protocol logic.
 
-use breathe::{BroadcastProtocol, Params};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::time::{Duration, Instant};
+
+use breathe::{BroadcastProtocol, Params, PhaseSpec};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use flip_model::{
     Agent, BernoulliSkip, BinarySymmetricChannel, Channel, GossipScheduler, Opinion, OpinionDelta,
     Round, RoundPool, RoundRouting, SimRng, Simulation, SimulationConfig,
@@ -29,8 +31,8 @@ impl Agent for Beacon {
 fn substrate(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate");
     group.sample_size(20);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(2));
 
     // A fixed pure-CPU workload (~3 ms/iter) used as the machine-speed
     // calibration unit by the bench gate: long enough that low-sample
@@ -240,19 +242,41 @@ fn substrate(c: &mut Criterion) {
     // sample) and one inside the first Stage II phase (everyone pushes and
     // tallies).  The other engine benches drive a `Beacon`; this one adds
     // the schedule lookups and stage state machines of `BreatheAgent`.
-    // Both phases outlast any sample count the gate uses, so every timed
-    // round stays in its stage.
+    // Only rounds before a phase's last one are timed: a population about
+    // to end its phase is rebuilt at the phase's first round outside the
+    // timed region, so the timed rounds are the same mix however many
+    // iterations the harness runs.
     let protocol = BroadcastProtocol::new(
         Params::practical(100_000, 0.3).expect("valid parameters"),
         Opinion::One,
     );
     let schedule = protocol.schedule();
-    let mut stage1 = protocol.build_simulation(5).expect("valid simulation");
-    stage1.run(schedule.phases()[schedule.last_spreading_phase()].start);
-    let mut stage2 = protocol.build_simulation(5).expect("valid simulation");
-    stage2.run(schedule.spreading_rounds());
+    let stage1_phase = schedule.phases()[schedule.last_spreading_phase()];
+    let stage2_phase = schedule.phases()[schedule.spreading_phase_count()];
+    let at_phase_start = |phase: PhaseSpec| {
+        let mut sim = protocol.build_simulation(5).expect("valid simulation");
+        sim.run(phase.start);
+        sim
+    };
+    let mut stage1 = at_phase_start(stage1_phase);
+    let mut stage2 = at_phase_start(stage2_phase);
     group.bench_function("breathe_round_n1e5", |b| {
-        b.iter(|| stage1.step().metrics.messages_sent + stage2.step().metrics.messages_sent);
+        b.iter_custom(|iters| {
+            let mut elapsed = Duration::ZERO;
+            for _ in 0..iters {
+                for (sim, phase) in [(&mut stage1, stage1_phase), (&mut stage2, stage2_phase)] {
+                    if sim.round() + 1 >= phase.end() {
+                        *sim = at_phase_start(phase);
+                    }
+                }
+                let start = Instant::now();
+                black_box(
+                    stage1.step().metrics.messages_sent + stage2.step().metrics.messages_sent,
+                );
+                elapsed += start.elapsed();
+            }
+            elapsed
+        });
     });
 
     // End-to-end cost of the spec layer itself: protocol resolution plus one

@@ -79,9 +79,17 @@ pub enum Position {
 pub struct Schedule {
     phases: Vec<PhaseSpec>,
     spreading_phase_count: usize,
-    /// Index into `phases` of the phase each round belongs to, so that
-    /// [`Schedule::position`] is a table read rather than a search.
-    phase_of_round: Vec<u16>,
+    /// `log₂` of the block length of `phase_at_block`: the largest power of
+    /// two no longer than the shortest phase.
+    block_shift: u32,
+    /// For each block of `2^block_shift` rounds, the index into `phases` of
+    /// the phase holding the block's first round.  No block is longer than a
+    /// phase (and no phase is empty), so a block crosses at most one phase
+    /// boundary and [`Schedule::position`] is a table read plus one
+    /// comparison.  The table
+    /// has about `total_rounds / shortest phase` entries, so its size does
+    /// not grow with the phase lengths themselves.
+    phase_at_block: Vec<u16>,
 }
 
 impl Schedule {
@@ -148,10 +156,9 @@ impl Schedule {
             len: params.final_phase_len(),
             samples: Some(params.final_samples()),
         });
-        // Stage I stores its activation level as a `u16` and Stage II tallies
-        // the messages of one phase in `u32`s (at most one per round), so a
-        // schedule that outgrows either width is refused here rather than
-        // left to wrap silently inside an agent.
+        // Stage I stores its activation level as a `u16` and the block table
+        // stores phase indices as `u16`s, so a schedule with more phases is
+        // refused here rather than left to wrap silently.
         let phase_count = u16::try_from(phases.len()).unwrap_or_else(|_| {
             panic!(
                 "a schedule of {} phases exceeds the limit of {} (u16::MAX) phases",
@@ -159,21 +166,27 @@ impl Schedule {
                 u16::MAX
             )
         });
-        let mut phase_of_round = Vec::new();
-        for (idx, phase) in (0..phase_count).zip(&phases) {
-            let len = u32::try_from(phase.len).unwrap_or_else(|_| {
-                panic!(
-                    "phase {idx} lasts {} rounds, over the limit of {} (u32::MAX) rounds per phase",
-                    phase.len,
-                    u32::MAX
-                )
-            });
-            phase_of_round.resize(phase_of_round.len() + len as usize, idx);
+        let shortest = phases.iter().map(|p| p.len).min().unwrap_or(1);
+        assert!(shortest > 0, "a schedule phase lasts no rounds");
+        let block_shift = shortest.ilog2();
+        let total = phases.last().map_or(0, PhaseSpec::end);
+        let blocks = total.div_ceil(1 << block_shift);
+        let mut phase_at_block = Vec::with_capacity(
+            usize::try_from(blocks).expect("one table entry per shortest phase fits in memory"),
+        );
+        let mut phase = 0u16;
+        for block in 0..blocks {
+            if block << block_shift >= phases[usize::from(phase)].end() {
+                phase += 1;
+            }
+            phase_at_block.push(phase);
         }
+        debug_assert!(phase < phase_count);
         Self {
             phases,
             spreading_phase_count: spreading_lens.len(),
-            phase_of_round,
+            block_shift,
+            phase_at_block,
         }
     }
 
@@ -227,17 +240,25 @@ impl Schedule {
 
     /// Locates `round` in the unshifted (fully-synchronous) schedule.
     ///
-    /// O(1): a read of the per-round phase table built with the schedule.
+    /// O(1): a read of the block table built with the schedule, then one
+    /// comparison for the phase boundary the block may cross.
     #[must_use]
+    #[inline]
     pub fn position(&self, round: u64) -> Position {
-        let phase = usize::try_from(round)
-            .ok()
-            .and_then(|r| self.phase_of_round.get(r));
-        let Some(&phase) = phase else {
+        let block = usize::try_from(round >> self.block_shift).unwrap_or(usize::MAX);
+        let Some(&phase) = self.phase_at_block.get(block) else {
             return Position::Done;
         };
-        let phase = usize::from(phase);
-        let spec = &self.phases[phase];
+        let mut phase = usize::from(phase);
+        let mut spec = &self.phases[phase];
+        if round >= spec.end() {
+            // Past the end of the last phase, this runs off `phases`.
+            phase += 1;
+            let Some(next) = self.phases.get(phase) else {
+                return Position::Done;
+            };
+            spec = next;
+        }
         Position::Active {
             phase,
             round_in_phase: round - spec.start,
@@ -421,9 +442,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "u32::MAX")]
-    fn a_phase_longer_than_u32_rounds_is_refused() {
-        let _ = Schedule::from_lens(&params(), &[u64::from(u32::MAX) + 1]);
+    fn paper_strict_schedules_build_with_a_small_table() {
+        // The paper's literal constants give schedules of 10⁹–10¹¹ rounds,
+        // with a phase longer than `u32::MAX` rounds at ε = 0.05.  The table
+        // holds one entry per block no longer than the shortest phase, so it
+        // stays near 2 MB (10⁶ entries) for all three.
+        for (n, epsilon) in [(64, 0.4), (1_000, 0.1), (1_000, 0.05)] {
+            let schedule = Schedule::broadcast(&Params::paper_strict(n, epsilon).unwrap());
+            let table_bytes = std::mem::size_of_val(schedule.phase_at_block.as_slice());
+            assert!(
+                table_bytes <= 4 << 20,
+                "ε = {epsilon}: {table_bytes} table bytes for {} rounds",
+                schedule.total_rounds()
+            );
+            for phase in schedule.phases() {
+                for round in [phase.start, phase.end() - 1] {
+                    assert_eq!(
+                        schedule.position(round),
+                        schedule.shifted_position(round, 0)
+                    );
+                }
+            }
+            let total = schedule.total_rounds();
+            assert_eq!(schedule.position(total), Position::Done);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lasts no rounds")]
+    fn an_empty_phase_is_refused() {
+        let _ = Schedule::from_lens(&params(), &[3, 0, 5]);
     }
 
     #[test]

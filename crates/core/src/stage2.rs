@@ -11,9 +11,10 @@ use rand::Rng;
 
 /// The Stage II state of a single agent.
 ///
-/// The tallies are `u32`: an agent accepts at most one message per round,
-/// and [`Schedule`](crate::Schedule) refuses phases longer than `u32::MAX`
-/// rounds.
+/// The tallies are `u32`: an agent accepts at most one message per round, so
+/// they fill only after `u32::MAX` rounds of one phase.  Paper-strict
+/// schedules have such phases, but no run gets that far; should one, the
+/// tally panics rather than wraps.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Stage2State {
     opinion: Option<Opinion>,
@@ -54,11 +55,19 @@ impl Stage2State {
     }
 
     /// Records a message received during the current phase.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the phase's tally of that opinion already holds `u32::MAX`
+    /// messages.
     pub fn deliver(&mut self, message: Opinion) {
-        match message {
-            Opinion::Zero => self.zeros_received += 1,
-            Opinion::One => self.ones_received += 1,
-        }
+        let tally = match message {
+            Opinion::Zero => &mut self.zeros_received,
+            Opinion::One => &mut self.ones_received,
+        };
+        *tally = tally.checked_add(1).unwrap_or_else(|| {
+            panic!("a Stage II phase tally exceeds the limit of u32::MAX messages")
+        });
     }
 
     /// Ends a phase of length `phase_len`, drawing `samples` samples if successful.
@@ -132,6 +141,16 @@ mod tests {
         assert!(!successful);
         assert_eq!(state.opinion(), None);
         assert_eq!(state.received_in_phase(), 0, "counters reset at phase end");
+    }
+
+    #[test]
+    #[should_panic(expected = "u32::MAX")]
+    fn a_full_tally_panics_instead_of_wrapping() {
+        let mut state = Stage2State {
+            ones_received: u32::MAX,
+            ..Stage2State::new()
+        };
+        state.deliver(Opinion::One);
     }
 
     #[test]

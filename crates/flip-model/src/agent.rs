@@ -156,8 +156,8 @@ pub trait Agent {
     /// Contract: when this returns `false`, `end_round` is a no-op for every
     /// agent in `agents` — it returns [`OpinionDelta::NONE`], draws nothing
     /// from the RNG and changes no state.  (Debug builds of the engine
-    /// periodically run the skipped pass on a cloned RNG and assert the
-    /// first two.)
+    /// periodically run the skipped pass on the live agents with a cloned
+    /// RNG and assert the first two; the third is not checked.)
     fn end_round_due(agents: &[Self], round: Round) -> bool
     where
         Self: Sized,
@@ -210,6 +210,11 @@ pub trait Agent {
 /// engines in a round whose end-of-round pass they skipped: runs that pass
 /// against a clone of the stream and asserts that no hook reports a change
 /// and none draws from it.
+///
+/// It covers only the delta and RNG parts of the contract.  The hooks run
+/// on the live agents (the engines do not require `A: Clone`), so an agent
+/// whose skipped hook changes its state without reporting a delta goes
+/// unnoticed here, and its debug and release runs differ.
 #[cfg(debug_assertions)]
 pub(crate) fn audit_skipped_end_round<A: Agent>(agents: &mut [A], round: Round, rng: &SimRng) {
     use rand::RngCore;
