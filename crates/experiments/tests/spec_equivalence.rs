@@ -19,6 +19,7 @@
 
 use std::path::PathBuf;
 
+use analysis::Table;
 use experiments::{specs, ExperimentConfig};
 use flip_model::Backend;
 
@@ -28,6 +29,12 @@ fn tiny(trials: u32) -> ExperimentConfig {
         base_seed: 0xBEA7_4E5E,
         ..ExperimentConfig::quick()
     }
+}
+
+/// Runs the named builtin sweep in memory and renders its table.
+fn table(name: &str, cfg: &ExperimentConfig) -> Table {
+    let spec = specs::builtin(name, cfg).expect("a builtin sweep");
+    specs::render(name, &specs::run_in_memory(&spec, cfg))
 }
 
 fn check(name: &str, markdown: &str) {
@@ -56,6 +63,11 @@ fn e01_sweep_reproduces_the_golden_table_digit_for_digit() {
 fn e01_dense_sweep_reproduces_the_golden_table_digit_for_digit() {
     let cfg = tiny(1).with_backend(Backend::Dense);
     check("e01-dense", &specs::e01_dense_table(&cfg).to_markdown());
+}
+
+#[test]
+fn e01_hybrid_sweep_reproduces_the_golden_table_digit_for_digit() {
+    check("e01-hybrid", &table("e01-hybrid", &tiny(1)).to_markdown());
 }
 
 #[test]
@@ -133,6 +145,11 @@ fn a2_sweep_reproduces_the_golden_table_digit_for_digit() {
 #[test]
 fn a3_sweep_reproduces_the_golden_table_digit_for_digit() {
     check("a3", &specs::a3_table(&tiny(2)).to_markdown());
+}
+
+#[test]
+fn e13_sweep_reproduces_the_golden_table_digit_for_digit() {
+    check("e13", &table("e13", &tiny(2)).to_markdown());
 }
 
 #[test]
