@@ -1,14 +1,10 @@
-//! E9 (Theorem 3.1): the cost of removing the global clock, plus the
-//! regenerated overhead table.
+//! E9 (Theorem 3.1): the cost of removing the global clock.
 
-use bench::{announce, bench_config};
 use breathe::{AsyncBroadcastProtocol, AsyncVariant, BroadcastProtocol, Params};
 use criterion::{criterion_group, criterion_main, Criterion};
 use flip_model::Opinion;
 
 fn async_overhead(c: &mut Criterion) {
-    announce(&experiments::specs::e09_table(&bench_config()).to_markdown());
-
     let params = Params::practical(400, 0.3).expect("valid parameters");
     let mut group = c.benchmark_group("e09_async_overhead");
     group.sample_size(10);

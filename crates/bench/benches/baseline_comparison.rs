@@ -1,17 +1,13 @@
-//! E10 (§1.2, §1.6): breathe versus the baseline protocols, plus the
-//! regenerated comparison table.
+//! E10 (§1.2, §1.6): breathe versus the baseline protocols.
 
 use baselines::{
     ForwardingProtocol, NoisyVoterProtocol, TwoChoicesProtocol, WaitForSourceProtocol,
 };
-use bench::{announce, bench_config};
 use breathe::{BroadcastProtocol, Params};
 use criterion::{criterion_group, criterion_main, Criterion};
 use flip_model::Opinion;
 
 fn baseline_comparison(c: &mut Criterion) {
-    announce(&experiments::specs::e10_table(&bench_config()).to_markdown());
-
     let n = 500;
     let epsilon = 0.25;
     let params = Params::practical(n, epsilon).expect("valid parameters");

@@ -1,14 +1,10 @@
-//! E1 (Theorem 2.17): broadcast cost versus population size, plus the
-//! regenerated rounds-vs-n table.
+//! E1 (Theorem 2.17): broadcast cost versus population size.
 
-use bench::{announce, bench_config};
 use breathe::{BroadcastProtocol, Params};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flip_model::Opinion;
 
 fn broadcast_rounds(c: &mut Criterion) {
-    announce(&experiments::specs::e01_table(&bench_config()).to_markdown());
-
     let mut group = c.benchmark_group("e01_broadcast_rounds_vs_n");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(500));

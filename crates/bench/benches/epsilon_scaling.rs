@@ -1,14 +1,10 @@
-//! E2 (Theorem 2.17): broadcast cost versus the noise margin `ε`, plus the
-//! regenerated rounds-vs-epsilon table.
+//! E2 (Theorem 2.17): broadcast cost versus the noise margin `ε`.
 
-use bench::{announce, bench_config};
 use breathe::{BroadcastProtocol, Params};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flip_model::Opinion;
 
 fn epsilon_scaling(c: &mut Criterion) {
-    announce(&experiments::specs::e02_table(&bench_config()).to_markdown());
-
     let mut group = c.benchmark_group("e02_broadcast_rounds_vs_epsilon");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(500));

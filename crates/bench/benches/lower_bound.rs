@@ -1,16 +1,11 @@
 //! E11 and E12 (§1.4, §1.6): the per-hop deterioration curve and the
-//! two-party `Θ(1/ε²)` sample bound, plus the regenerated tables.
+//! two-party `Θ(1/ε²)` sample bound.
 
 use baselines::simulate_chain;
-use bench::{announce, bench_config};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sweeps::samples_for_confidence;
 
 fn lower_bound(c: &mut Criterion) {
-    let cfg = bench_config();
-    announce(&experiments::specs::e11_table(&cfg).to_markdown());
-    announce(&experiments::specs::e12_table(&cfg).to_markdown());
-
     let mut group = c.benchmark_group("e11_e12_lower_bound");
     group.sample_size(20);
     group.warm_up_time(std::time::Duration::from_millis(500));

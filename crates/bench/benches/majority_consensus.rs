@@ -1,14 +1,10 @@
-//! E8 (Corollary 2.18): noisy majority-consensus, plus the regenerated
-//! success table.
+//! E8 (Corollary 2.18): noisy majority-consensus.
 
-use bench::{announce, bench_config};
 use breathe::{InitialSet, MajorityConsensusProtocol, Params};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flip_model::Opinion;
 
 fn majority_consensus(c: &mut Criterion) {
-    announce(&experiments::specs::e08_table(&bench_config()).to_markdown());
-
     let params = Params::practical(600, 0.3).expect("valid parameters");
     let mut group = c.benchmark_group("e08_majority_consensus");
     group.sample_size(10);

@@ -1,13 +1,10 @@
-//! E3 (Theorem 2.17): message/bit complexity, plus the regenerated table.
+//! E3 (Theorem 2.17): message/bit complexity.
 
-use bench::{announce, bench_config};
 use breathe::{BroadcastProtocol, Params};
 use criterion::{criterion_group, criterion_main, Criterion};
 use flip_model::Opinion;
 
 fn message_complexity(c: &mut Criterion) {
-    announce(&experiments::specs::e03_table(&bench_config()).to_markdown());
-
     let params = Params::practical(1_000, 0.25).expect("valid parameters");
     let protocol = BroadcastProtocol::new(params, Opinion::One);
     let mut group = c.benchmark_group("e03_message_complexity");

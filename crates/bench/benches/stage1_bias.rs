@@ -1,16 +1,11 @@
 //! E4–E6 (Claims 2.2, 2.4, 2.8; Lemma 2.3): Stage I seeding, layer growth and
-//! bias decay, plus the regenerated tables.
+//! bias decay.
 
-use bench::{announce, bench_config};
 use breathe::{BroadcastProtocol, Params};
 use criterion::{criterion_group, criterion_main, Criterion};
 use flip_model::Opinion;
 
 fn stage1_bias(c: &mut Criterion) {
-    let cfg = bench_config();
-    announce(&experiments::specs::e04_table(&cfg).to_markdown());
-    announce(&experiments::specs::e06_table(&cfg).to_markdown());
-
     let params = Params::practical(800, 0.3).expect("valid parameters");
     let protocol = BroadcastProtocol::new(params, Opinion::One);
     let mut group = c.benchmark_group("e04_e06_stage1_detailed_run");

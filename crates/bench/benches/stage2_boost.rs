@@ -1,7 +1,5 @@
-//! E7 (Lemmas 2.11 and 2.14): the Stage II majority boost, plus the
-//! regenerated boost tables.
+//! E7 (Lemmas 2.11 and 2.14): the Stage II majority boost.
 
-use bench::{announce, bench_config};
 use breathe::Stage2State;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flip_model::{Opinion, SimRng};
@@ -26,10 +24,6 @@ fn one_boost_phase(gamma: u64, epsilon: f64, delta: f64, rng: &mut SimRng) -> Op
 }
 
 fn stage2_boost(c: &mut Criterion) {
-    let cfg = bench_config();
-    announce(&experiments::specs::e07a_table(&cfg).to_markdown());
-    announce(&experiments::specs::e07b_table(&cfg).to_markdown());
-
     let mut group = c.benchmark_group("e07_stage2_boost_phase");
     group.sample_size(20);
     group.warm_up_time(std::time::Duration::from_millis(500));

@@ -1,41 +1,13 @@
-//! Shared helpers for the Criterion benchmarks that regenerate the paper's
-//! evaluation (experiments E1–E12 of `DESIGN.md`).
+//! Criterion benchmarks for the *Breathe before Speaking* workspace, and
+//! the CI perf-regression gate that reads their results.
 //!
-//! Each benchmark measures the wall-clock cost of one experiment's inner
-//! simulation at a reduced scale, and — more importantly for the reproduction
-//! — prints the corresponding result table once per run so that
-//! `cargo bench` regenerates the same rows as the `e01`…`e12` binaries.
+//! The benches under `benches/` time the inner simulation of each
+//! experiment (E1–E12) at a reduced scale, plus the engine hot paths
+//! (`substrate`, `dense_engine`).  The experiment tables themselves come
+//! from `full_report <name>`, not from the benches.  [`gate`] compares a
+//! bench run against the checked-in `bench/baseline.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use experiments::ExperimentConfig;
-
-/// The benchmark-sized experiment configuration: tiny trial counts so the
-/// measured simulations stay in the milliseconds-to-seconds range.
-#[must_use]
-pub fn bench_config() -> ExperimentConfig {
-    ExperimentConfig {
-        trials: 2,
-        base_seed: 0xBE9C,
-        ..ExperimentConfig::quick()
-    }
-}
-
-/// Prints a table header so benchmark logs clearly attribute regenerated rows.
-pub fn announce(table_markdown: &str) {
-    println!("\n--- regenerated table ---\n{table_markdown}");
-}
-
 pub mod gate;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_config_is_small() {
-        assert!(bench_config().trials <= 4);
-        assert!(bench_config().quick);
-    }
-}

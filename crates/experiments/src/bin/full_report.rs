@@ -1,35 +1,44 @@
-//! `full_report` — every experiment (E1–E12) as **one composed, resumable
-//! sweep**, rendered as a single markdown document.
+//! `full_report` — the one entry point of every experiment: the named
+//! builtin sweeps (all of E1–E12 when no name is given) as **one composed,
+//! resumable sweep**, rendered as a single markdown document.
 //!
 //! ```text
-//! full_report [--full] [--trials N] [--threads N] [--seed N]
+//! full_report [NAME...] [--full] [--trials N] [--threads N] [--seed N]
+//!             [--faults D] [--allow-supermajority-faults]
 //!                                     # in-memory run, markdown to stdout
-//! full_report --store DIR [--max-cells N] [--export FILE] [--progress] [...]
-//!                                     # persistent run: checkpoint each cell,
+//! full_report [NAME...] --store DIR [--max-cells N] [--export FILE]
+//!             [--progress] [...]      # persistent run: checkpoint each cell,
 //!                                     #   resume by re-running, render when
 //!                                     #   complete
 //! ```
 //!
-//! Both modes run the same composed [`sweeps::ReportSpec`] (built by
-//! `specs::report_spec`) through the same orchestrator and renderers, so a
-//! store-backed run — killed at any point and resumed with the same flags —
-//! produces markdown **byte-identical** to an uninterrupted in-memory run.
-//! `--max-cells` caps newly executed cells across the whole composition (the
-//! deterministic kill stand-in); an incomplete run prints its status and
-//! resumes from the first missing cell on the next invocation.  `--export`
-//! writes the rendered markdown to a file instead of stdout and refuses
-//! while the store is incomplete.
+//! `NAME` is any builtin sweep (`sweep list` shows them): `full_report e13`
+//! renders the E13 table, `full_report e01-dense e08-dense` the two
+//! dense-engine variants, `full_report a1 a2 a3` the ablations.  An unknown
+//! name fails with the nearest builtin as a suggestion.
+//!
+//! Both modes run the same composed [`sweeps::ReportSpec`] through the same
+//! orchestrator and renderers, so a store-backed run — killed at any point
+//! and resumed with the same arguments — produces markdown
+//! **byte-identical** to an uninterrupted in-memory run.  `--max-cells` caps
+//! newly executed cells across the whole composition (the deterministic kill
+//! stand-in); an incomplete run prints its status and resumes from the first
+//! missing cell on the next invocation.  `--export` writes the rendered
+//! markdown to a file instead of stdout and refuses while the store is
+//! incomplete.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use experiments::report::{Report, REPORT_PREAMBLE, REPORT_TITLE};
-use experiments::{cli, specs};
-use sweeps::{ProtocolRegistry, ReportOutcome, ReportRunner, ReportSpec, ReportStore};
+use experiments::{cli, specs, ExperimentConfig};
+use sweeps::{ProtocolRegistry, ReportOutcome, ReportRunner, ReportSpec, ReportStore, SweepError};
 
-const USAGE: &str = "usage: full_report [--full] [--trials N] [--threads N] [--seed N]
+const USAGE: &str = "usage: full_report [NAME...] [--full] [--trials N] [--threads N] [--seed N]
+                   [--faults D] [--allow-supermajority-faults]
                    [--store DIR] [--max-cells N] [--export FILE] [--progress]
-(--max-cells needs --store: a cut run without a checkpoint store is lost work)";
+(NAME is a builtin sweep, see `sweep list`; no NAME runs the whole E1-E12 report.
+ --max-cells needs --store: a cut run without a checkpoint store is lost work)";
 
 struct ReportFlags {
     store: Option<PathBuf>,
@@ -86,9 +95,21 @@ fn split_args<I: Iterator<Item = String>>(
     Ok((flags, cfg_args))
 }
 
-/// Renders a completed composed run into the report markdown — the same
-/// title, preamble and per-member renderers as the in-memory
-/// [`experiments::report::full_report`], so both paths emit identical bytes.
+/// The composed spec for the named members, or the whole report when none
+/// are named.
+fn compose(names: &[String], cfg: &ExperimentConfig) -> Result<ReportSpec, SweepError> {
+    if names.is_empty() {
+        return Ok(specs::report_spec(cfg));
+    }
+    let members = names
+        .iter()
+        .map(|name| specs::require_builtin(name, cfg))
+        .collect::<Result<_, _>>()?;
+    ReportSpec::new(specs::REPORT_SPEC_NAME, members)
+}
+
+/// Renders a completed composed run into the report markdown: the report
+/// title and preamble, then each member's table.
 fn render(spec: &ReportSpec, outcome: &ReportOutcome) -> String {
     let mut report = Report::new(REPORT_TITLE).with_preamble(REPORT_PREAMBLE);
     for (member, result) in spec.members.iter().zip(&outcome.members) {
@@ -107,12 +128,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let cfg = experiments::config_from_args(cfg_args);
-    experiments::require_agents_backend(&cfg, "full_report");
+    let (cfg, names) = cli::parse_args(cfg_args);
     cli::require_no_rounds_override(&cfg, "full_report");
 
-    let spec = specs::report_spec(&cfg);
-    let run = || -> Result<(), sweeps::SweepError> {
+    let run = || -> Result<(), SweepError> {
+        let spec = compose(&names, &cfg)?;
         let store = flags
             .store
             .as_deref()
@@ -141,7 +161,7 @@ fn main() -> ExitCode {
                 dir.display(),
             );
             if flags.export.is_some() {
-                return Err(sweeps::SweepError::Incomplete {
+                return Err(SweepError::Incomplete {
                     done: outcome.skipped + outcome.executed,
                     total: outcome.total,
                 });

@@ -140,16 +140,8 @@ fn cmd_gen(args: &[String]) -> Result<(), SweepError> {
                 .into(),
         ));
     }
-    let cfg = experiments::config_from_args(cfg_args.to_vec());
-    let mut spec = specs::builtin(name, &cfg).ok_or_else(|| {
-        let suggestion = specs::nearest_builtin(name)
-            .map(|near| format!(" did you mean `{near}`?"))
-            .unwrap_or_default();
-        SweepError::Spec(format!(
-            "unknown builtin sweep `{name}`;{suggestion} available: {}",
-            specs::BUILTIN_SWEEPS.join(", ")
-        ))
-    })?;
+    let cfg = experiments::cli::parse_config(cfg_args.to_vec());
+    let mut spec = specs::require_builtin(name, &cfg)?;
     if let Some(rounds) = cfg.rounds {
         // Zero was rejected at parse time, so this can only tighten or
         // loosen a real cap.
@@ -345,7 +337,7 @@ fn cmd_run_report(args: &[String]) -> Result<(), SweepError> {
         .out
         .clone()
         .ok_or_else(|| SweepError::Spec("run report needs --out <dir>".into()))?;
-    let cfg = experiments::config_from_args(cfg_args);
+    let cfg = experiments::cli::parse_config(cfg_args);
     let spec = specs::report_spec(&cfg);
     let store = ReportStore::create(&out, &spec)?;
     execute_report(&spec, &store, &flags)

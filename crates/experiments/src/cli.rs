@@ -1,13 +1,12 @@
-//! The shared command-line convention of every experiment binary.
+//! The shared command-line flags of the `full_report` and `sweep` binaries.
 //!
-//! Before this module each of the 14 binaries re-implemented its own
-//! argument handling; they now all call [`run_tables`] (or [`parse_config`]
-//! directly) so a flag means the same thing everywhere:
+//! Both parse their experiment configuration through [`parse_config`] (or
+//! [`parse_args`], which also hands back the positional words), so a flag
+//! means the same thing everywhere:
 //!
 //! | flag                         | effect                                               |
 //! |------------------------------|------------------------------------------------------|
 //! | `--full`                     | full-scale grids and trials (default: quick)         |
-//! | `--backend agents\|dense\|hybrid:k` | engine selection where a variant exists       |
 //! | `--trials N`                 | trials per configuration point                       |
 //! | `--threads N`                | worker-thread cap (`FLIP_THREADS` env is honoured when absent) |
 //! | `--seed N`                   | base seed override                                   |
@@ -16,8 +15,8 @@
 //! | `--allow-supermajority-faults` | waive the `f/n < 1/3` sanity bound on `--faults`   |
 //!
 //! All flags accept both `--flag value` and `--flag=value`.  Unknown `--`
-//! flags panic with a usage message — a typo must never silently run a
-//! default configuration.  Zero values for `--trials`, `--threads` and
+//! flags, and in [`parse_config`] stray positional words, panic with a usage
+//! message — a typo must never silently run a default configuration.  Zero values for `--trials`, `--threads` and
 //! `--rounds` are rejected with an explicit message: a zero would not error
 //! downstream, it would silently produce empty runs and empty aggregates.
 //! The same convention covers `--faults`: a zero fraction (`byz:0`) and an
@@ -26,30 +25,53 @@
 //! `--allow-supermajority-faults` waiver (the E13 family sweeps past the
 //! bound on purpose; a stray `byz:0.4` elsewhere is a typo).
 
-use crate::{require_agents_backend, ExperimentConfig};
-use analysis::Table;
+use crate::ExperimentConfig;
 
 /// Parses the shared flags into an [`ExperimentConfig`].
+///
+/// # Panics
+///
+/// Panics with a usage message on unknown `--` flags, missing values,
+/// unparseable numbers and positional words: callers hand over only the
+/// flags (argv\[0\] already dropped), so a bare word is always a mistake,
+/// such as a second sweep name after `sweep gen e01`.
+#[must_use]
+pub fn parse_config<I: IntoIterator<Item = String>>(args: I) -> ExperimentConfig {
+    let (cfg, words) = parse_args(args);
+    if let Some(word) = words.first() {
+        panic!("unexpected argument `{word}`; this command takes flags only here");
+    }
+    cfg
+}
+
+/// Parses the shared flags like [`parse_config`], but returns the positional
+/// words (in order) instead of rejecting them — `full_report` takes builtin
+/// sweep names that way.
 ///
 /// # Panics
 ///
 /// Panics with a usage message on unknown `--` flags, missing values or
 /// unparseable numbers.
 #[must_use]
-pub fn parse_config<I: IntoIterator<Item = String>>(args: I) -> ExperimentConfig {
+pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> (ExperimentConfig, Vec<String>) {
     let args: Vec<String> = args.into_iter().collect();
     let mut cfg = if args.iter().any(|a| a == "--full") {
         ExperimentConfig::full()
     } else {
         ExperimentConfig::quick()
     };
+    let mut words = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        if arg == "--full" || !arg.starts_with('-') {
-            // Bare words (argv[0]-style) pass through; `--full` was handled
-            // above.  Anything starting with `-` falls through to the flag
-            // match so a single-dash typo (`-threads 4`) fails loudly
-            // instead of silently running a default configuration.
+        if !arg.starts_with('-') {
+            // Flag values are consumed with their flag below, so a bare word
+            // here is positional.  Anything starting with `-` falls through
+            // to the flag match so a single-dash typo (`-threads 4`) fails
+            // loudly instead of silently running a default configuration.
+            words.push(arg.clone());
+            continue;
+        }
+        if arg == "--full" {
             continue;
         }
         let (flag, value) = match arg.split_once('=') {
@@ -64,11 +86,6 @@ pub fn parse_config<I: IntoIterator<Item = String>>(args: I) -> ExperimentConfig
             })
         };
         match flag {
-            "--backend" => {
-                cfg.backend = value()
-                    .parse()
-                    .unwrap_or_else(|e| panic!("invalid --backend value: {e}"));
-            }
             "--trials" => {
                 cfg.trials = parse_number(flag, &value());
                 assert!(
@@ -101,7 +118,7 @@ pub fn parse_config<I: IntoIterator<Item = String>>(args: I) -> ExperimentConfig
             }
             "--allow-supermajority-faults" => cfg.allow_supermajority_faults = true,
             other => panic!(
-                "unknown flag `{other}`; supported: --full --backend --trials --threads \
+                "unknown flag `{other}`; supported: --full --trials --threads \
                  --seed --rounds --faults --allow-supermajority-faults"
             ),
         }
@@ -115,7 +132,7 @@ pub fn parse_config<I: IntoIterator<Item = String>>(args: I) -> ExperimentConfig
             spec.fraction * 100.0
         );
     }
-    cfg
+    (cfg, words)
 }
 
 fn parse_number<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
@@ -123,31 +140,10 @@ fn parse_number<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
         .unwrap_or_else(|_| panic!("invalid {flag} value `{raw}`: expected a number"))
 }
 
-/// The whole body of an experiment binary: parse `std::env::args`, enforce
-/// the backend guard for agents-only experiments, run, print markdown.
-///
-/// # Panics
-///
-/// Panics on invalid flags (see [`parse_config`]) and when `agents_only`
-/// rejects a `--backend dense` selection.
-pub fn run_tables<F>(binary: &str, agents_only: bool, experiment: F)
-where
-    F: FnOnce(&ExperimentConfig) -> Vec<Table>,
-{
-    let cfg = parse_config(std::env::args().skip(1));
-    require_no_rounds_override(&cfg, binary);
-    if agents_only {
-        require_agents_backend(&cfg, binary);
-    }
-    for table in experiment(&cfg) {
-        println!("{}", table.to_markdown());
-    }
-}
-
 /// Rejects a `--rounds` override on surfaces that do not consume it.
 ///
-/// The experiment binaries run each experiment's own schedule; only
-/// `sweep gen` applies `cfg.rounds` (to the generated spec).  Accepting the
+/// `full_report` runs each experiment's own schedule; only `sweep gen`
+/// applies `cfg.rounds` (to the generated spec).  Accepting the
 /// flag and ignoring it would silently run a default configuration — the
 /// exact failure mode this module exists to prevent.
 ///
@@ -165,7 +161,6 @@ pub fn require_no_rounds_override(cfg: &ExperimentConfig, binary: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flip_model::Backend;
 
     fn parse(args: &[&str]) -> ExperimentConfig {
         parse_config(args.iter().map(ToString::to_string))
@@ -179,37 +174,10 @@ mod tests {
         assert_eq!(cfg.base_seed, 99);
         assert!(cfg.quick);
 
-        let cfg = parse(&["--full", "--trials=3", "--backend=dense"]);
+        let cfg = parse(&["--full", "--trials=3"]);
         assert_eq!(cfg.trials, 3);
         assert!(!cfg.quick);
-        assert_eq!(cfg.backend, Backend::Dense);
         assert_eq!(cfg.threads, None);
-
-        let cfg = parse(&["--backend", "hybrid:64"]);
-        assert_eq!(cfg.backend, Backend::Hybrid(64));
-    }
-
-    #[test]
-    fn hybrid_backend_without_a_tracked_count_fails_naming_the_flag() {
-        // `--backend hybrid` and `--backend hybrid:0` would both run with a
-        // silently-chosen subpopulation if defaulted; they must panic with a
-        // message that names the flag (the PR-5 zero-value convention).
-        for bad in [vec!["--backend", "hybrid"], vec!["--backend=hybrid:0"]] {
-            let owned: Vec<String> = bad.iter().map(ToString::to_string).collect();
-            let result = std::panic::catch_unwind(|| parse_config(owned.clone()));
-            let message = match result {
-                Ok(_) => panic!("{bad:?} must be rejected"),
-                Err(payload) => payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(ToString::to_string))
-                    .unwrap_or_default(),
-            };
-            assert!(
-                message.contains("--backend") && message.contains("subpopulation"),
-                "{bad:?} rejection must name the flag and the missing size, got: {message}"
-            );
-        }
     }
 
     #[test]
@@ -233,8 +201,8 @@ mod tests {
     fn degenerate_fault_directives_fail_naming_the_flag() {
         // `--faults byz:0` would silently run a fault-free experiment that
         // claims to be faulty, and an unknown kind must not be guessed at —
-        // both reject with a message naming `--faults` (the PR-5 zero-value
-        // convention, same as `hybrid:0` above).
+        // both reject with a message naming `--faults` (the zero-value
+        // convention of `--trials 0` and `--rounds 0`).
         for bad in [
             vec!["--faults", "byz:0"],
             vec!["--faults=byz:0"],
@@ -284,10 +252,30 @@ mod tests {
     }
 
     #[test]
-    fn non_flag_arguments_are_ignored() {
-        // argv[0]-style words pass through untouched.
-        let cfg = parse(&["e01", "quick"]);
-        assert_eq!(cfg, ExperimentConfig::quick());
+    fn stray_words_are_rejected_naming_the_word() {
+        // Callers drop argv[0] themselves, so `full_report --trials 1 e13`
+        // must not quietly drop `e13` on a flags-only surface.
+        let result = std::panic::catch_unwind(|| parse(&["--trials", "1", "e13"]));
+        let message = match result {
+            Ok(_) => panic!("a stray word must be rejected"),
+            Err(payload) => payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default(),
+        };
+        assert!(message.contains("`e13`"), "{message}");
+    }
+
+    #[test]
+    fn positional_words_come_back_in_order_past_flag_values() {
+        let (cfg, words) = parse_args(
+            ["e13", "--trials", "2", "e01-dense", "--seed=5"]
+                .iter()
+                .map(ToString::to_string),
+        );
+        assert_eq!(words, ["e13", "e01-dense"]);
+        assert_eq!(cfg.trials, 2);
+        assert_eq!(cfg.base_seed, 5);
     }
 
     #[test]
@@ -301,10 +289,11 @@ mod tests {
 
     #[test]
     fn experiment_binaries_reject_an_unconsumed_rounds_override() {
-        // `e01 --rounds 50` must not silently run e01's default schedule.
-        require_no_rounds_override(&parse(&[]), "e01");
+        // `full_report --rounds 50` must not silently run the default
+        // schedules.
+        require_no_rounds_override(&parse(&[]), "full_report");
         let cfg = parse(&["--rounds", "50"]);
-        let result = std::panic::catch_unwind(|| require_no_rounds_override(&cfg, "e01"));
+        let result = std::panic::catch_unwind(|| require_no_rounds_override(&cfg, "full_report"));
         assert!(result.is_err(), "ignored --rounds must be rejected loudly");
     }
 

@@ -2,27 +2,23 @@
 //!
 //! The paper is theoretical, so its "evaluation" is the collection of
 //! quantitative claims (theorems, lemmas, claims) plus the informal
-//! comparisons of §1.4 and §1.6.  Each becomes an experiment `E1`–`E12`
-//! (see `DESIGN.md` for the index); this crate provides:
+//! comparisons of §1.4 and §1.6.  Each becomes a builtin sweep (E1–E13 and
+//! the ablations A1–A3); this crate provides:
 //!
-//! * [`cli`] — the shared command-line convention of every experiment
-//!   binary (`--full`, `--backend`, `--trials`, `--threads`, `--seed`),
-//! * [`specs`] — every experiment family (E1–E13 and the ablations A1–A3)
-//!   expressed as a declarative [`sweeps::SweepSpec`] over the sweep
-//!   registry, plus renderers that rebuild each results table from
-//!   streaming sweep aggregates (pinned digit-for-digit against the
-//!   original hand-rolled runners in `tests/spec_equivalence.rs`),
+//! * [`cli`] — the shared command-line flags of the `full_report` and
+//!   `sweep` binaries (`--full`, `--trials`, `--threads`, `--seed`, …),
+//! * [`specs`] — every experiment family expressed as a declarative
+//!   [`sweeps::SweepSpec`] over the sweep registry, plus renderers that
+//!   rebuild each results table from streaming sweep aggregates (pinned
+//!   digit-for-digit against golden markdown in `tests/spec_equivalence.rs`),
 //! * [`scaling`] and [`consensus`] — the shared quick/full parameter grids
 //!   those specs sweep,
 //! * [`report`] — assembling the tables into a markdown report.
 //!
-//! Multi-trial fan-out lives in [`sweeps::TrialRunner`] (re-exported here as
-//! [`TrialRunner`]); grid-level orchestration, persistence and resume live in
-//! the [`sweeps`] crate driven by the `sweep` binary.
-//!
-//! Every experiment function takes an [`ExperimentConfig`] and returns one or
-//! more [`analysis::Table`]s, so the same code path serves the `e01`…`e12`
-//! binaries, the integration tests and the Criterion benchmarks.
+//! Every experiment has one entry point: `full_report <name>…` composes the
+//! named builtin sweeps (all of E1–E12 when no name is given) into one
+//! resumable run and renders their tables; `sweep` drives single specs with
+//! persistence, resume and CSV/JSON export.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,9 +30,8 @@ pub mod scaling;
 pub mod specs;
 
 pub use report::Report;
-pub use sweeps::{runner, TrialRunner};
 
-use flip_model::{Backend, FaultSpec};
+use flip_model::FaultSpec;
 
 /// Controls how heavy an experiment run is.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,13 +42,8 @@ pub struct ExperimentConfig {
     /// deterministically from `(base_seed, c, t)`.
     pub base_seed: u64,
     /// Quick mode shrinks population sizes and trial counts so that the whole
-    /// suite finishes in minutes; full mode uses the sizes quoted in
-    /// `EXPERIMENTS.md`.
+    /// suite finishes in minutes; full mode uses the paper-scale sizes.
     pub quick: bool,
-    /// Which simulation engine to use where an experiment supports both: the
-    /// exact per-agent engine, or the dense counts-based engine that reaches
-    /// `n = 10⁶⁺` (selected on the command line with `--backend dense`).
-    pub backend: Backend,
     /// Worker-thread override (`--threads`); `None` defers to
     /// [`sweeps::default_threads`] (the `FLIP_THREADS` environment variable,
     /// or the machine width).
@@ -84,7 +74,6 @@ impl ExperimentConfig {
             trials: 5,
             base_seed: 0xBEA7_4E5E,
             quick: true,
-            backend: Backend::Agents,
             threads: None,
             rounds: None,
             faults: None,
@@ -92,26 +81,18 @@ impl ExperimentConfig {
         }
     }
 
-    /// The full preset used to produce `EXPERIMENTS.md`.
+    /// The full preset (`--full`): paper-scale grids and trial counts.
     #[must_use]
     pub fn full() -> Self {
         Self {
             trials: 20,
             base_seed: 0xBEA7_4E5E,
             quick: false,
-            backend: Backend::Agents,
             threads: None,
             rounds: None,
             faults: None,
             allow_supermajority_faults: false,
         }
-    }
-
-    /// Returns the same configuration with the given backend selected.
-    #[must_use]
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// Chooses between two values depending on quick/full mode.
@@ -135,18 +116,6 @@ impl ExperimentConfig {
         use flip_model::SimRng;
         SimRng::stream_seed(SimRng::stream_seed(self.base_seed, point), trial)
     }
-
-    /// A [`TrialRunner`] for one configuration point, honouring the
-    /// `--threads` override (and, through [`TrialRunner::new`], the
-    /// `FLIP_THREADS` environment variable).
-    #[must_use]
-    pub fn runner(&self) -> TrialRunner {
-        let runner = TrialRunner::new(u64::from(self.trials));
-        match self.threads {
-            Some(threads) => runner.with_threads(threads),
-            None => runner,
-        }
-    }
 }
 
 impl Default for ExperimentConfig {
@@ -155,51 +124,9 @@ impl Default for ExperimentConfig {
     }
 }
 
-/// Parses the standard command-line convention of the experiment binaries
-/// (see [`cli::parse_config`] for the accepted flags).
-///
-/// # Panics
-///
-/// Panics with a usage message on unknown flags or invalid values, so a typo
-/// fails a binary invocation loudly instead of silently running a default.
-#[must_use]
-pub fn config_from_args<I: IntoIterator<Item = String>>(args: I) -> ExperimentConfig {
-    cli::parse_config(args)
-}
-
-/// Guard for binaries whose experiments exist only on the per-agent engine:
-/// rejects a `--backend dense`/`hybrid:k` selection loudly instead of
-/// silently running the default engine and letting the user mistake the
-/// numbers for counts-engine results.  (`e01` and `e08` have non-agents
-/// variants and dispatch through [`specs::backend_tables`] instead.)
-///
-/// # Panics
-///
-/// Panics when `cfg.backend` is not [`Backend::Agents`].
-pub fn require_agents_backend(cfg: &ExperimentConfig, binary: &str) {
-    assert!(
-        cfg.backend == Backend::Agents,
-        "`{binary}` runs only on the per-agent engine; drop `--backend {}` \
-         (dense and hybrid variants exist for e01, dense for e08)",
-        cfg.backend
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn agents_only_binaries_reject_the_dense_backend() {
-        require_agents_backend(&ExperimentConfig::quick(), "e03");
-        let result = std::panic::catch_unwind(|| {
-            require_agents_backend(
-                &ExperimentConfig::quick().with_backend(Backend::Dense),
-                "e03",
-            );
-        });
-        assert!(result.is_err(), "dense must be rejected loudly");
-    }
 
     #[test]
     fn presets_differ_in_scale() {
@@ -221,59 +148,8 @@ mod tests {
 
     #[test]
     fn args_select_the_preset() {
-        assert_eq!(
-            config_from_args(vec!["e01".to_string()]),
-            ExperimentConfig::quick()
-        );
-        assert_eq!(
-            config_from_args(vec!["--full".to_string()]),
-            ExperimentConfig::full()
-        );
-        assert_eq!(
-            config_from_args(Vec::<String>::new()),
-            ExperimentConfig::quick()
-        );
-    }
-
-    #[test]
-    fn args_select_the_backend() {
-        assert_eq!(
-            config_from_args(Vec::<String>::new()).backend,
-            Backend::Agents
-        );
-        assert_eq!(
-            config_from_args(vec!["--backend".to_string(), "dense".to_string()]).backend,
-            Backend::Dense
-        );
-        assert_eq!(
-            config_from_args(vec!["--backend=dense".to_string()]).backend,
-            Backend::Dense
-        );
-        let cfg = config_from_args(vec!["--full".to_string(), "--backend=agents".to_string()]);
-        assert_eq!(cfg.backend, Backend::Agents);
-        assert!(!cfg.quick);
-        assert_eq!(
-            ExperimentConfig::quick()
-                .with_backend(Backend::Dense)
-                .backend,
-            Backend::Dense
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid --backend")]
-    fn unknown_backend_fails_loudly() {
-        let _ = config_from_args(vec!["--backend".to_string(), "gpu".to_string()]);
-    }
-
-    #[test]
-    fn runner_honours_the_threads_override() {
-        let mut cfg = ExperimentConfig::quick();
-        cfg.trials = 64;
-        cfg.threads = Some(3);
-        assert_eq!(cfg.runner().threads(), 3);
-        assert_eq!(cfg.runner().trials(), 64);
-        cfg.threads = None;
-        assert!(cfg.runner().threads() >= 1);
+        let parse = |args: &[&str]| cli::parse_config(args.iter().map(ToString::to_string));
+        assert_eq!(parse(&["--full"]), ExperimentConfig::full());
+        assert_eq!(parse(&[]), ExperimentConfig::quick());
     }
 }

@@ -1,13 +1,10 @@
 //! Assembling experiment tables into a markdown report.
 //!
-//! The report's member list, title and preamble live here so the in-memory
-//! [`full_report`] and the composed, resumable `full_report` binary (which
-//! runs the same members through the `sweeps` store) render byte-identical
-//! markdown from the same definitions.
+//! The report's member list, title and preamble live here so every renderer
+//! of the composed report — the `full_report` binary, in memory or over a
+//! resumable store, and the benchmark harness — emits the same markdown.
 
 use analysis::Table;
-
-use crate::{specs, ExperimentConfig};
 
 /// The builtin sweeps assembled into the full report, in presentation order:
 /// every quantitative claim of the paper, E1–E12.
@@ -81,26 +78,10 @@ impl Report {
     }
 }
 
-/// Runs every experiment (E1–E12) in memory and assembles the full report.
-///
-/// Each member is the registry-backed builtin sweep rendered through
-/// [`specs::render`] — the same path the persistent, resumable composed run
-/// uses, so both produce identical markdown for the same config.  With
-/// [`ExperimentConfig::quick`] this takes a few minutes on a laptop; the
-/// full preset reproduces the numbers recorded in `EXPERIMENTS.md`.
-#[must_use]
-pub fn full_report(cfg: &ExperimentConfig) -> Report {
-    let mut report = Report::new(REPORT_TITLE).with_preamble(REPORT_PREAMBLE);
-    for name in REPORT_MEMBERS {
-        let spec = specs::builtin(name, cfg).expect("report members are builtin sweeps");
-        report.push(specs::render(name, &specs::run_in_memory(&spec, cfg)));
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{specs, ExperimentConfig};
 
     #[test]
     fn report_renders_title_preamble_and_tables() {

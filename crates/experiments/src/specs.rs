@@ -4,9 +4,9 @@
 //! per-stage claims E4–E7, the consensus sweeps E8/E8-D, the async/baseline
 //! comparisons E9–E12, the ablations A1–A3 and the fault-injection family
 //! E13 — is expressed here as a declarative [`SweepSpec`]
-//! instead of a hand-rolled loop.  The binaries are thin wrappers: build
-//! the spec, run it through the [`sweeps`] orchestrator, render the legacy
-//! table from the streamed aggregates.
+//! instead of a hand-rolled loop.  `full_report <name>…` composes the named
+//! specs ([`builtin`]) into one run through the [`sweeps`] orchestrator and
+//! renders each table from the streamed aggregates ([`render`]).
 //!
 //! **The migration contract:** for every migrated experiment, the sweep uses
 //! the same protocol constructions, the same grid order and the same
@@ -27,10 +27,7 @@ use analysis::Table;
 use baselines::chain_correct_probability;
 use breathe::{InitialSet, Multipliers, Params, Schedule};
 use flip_model::{Backend, DEFAULT_HYBRID_TRACKED};
-use sweeps::{
-    Axis, CellRecord, MetricAggregate, ProtocolRegistry, ReportSpec, ScenarioSpec, SweepRunner,
-    SweepSpec,
-};
+use sweeps::{Axis, CellRecord, MetricAggregate, ReportSpec, ScenarioSpec, SweepError, SweepSpec};
 
 use crate::{consensus, scaling, ExperimentConfig};
 
@@ -131,6 +128,26 @@ pub fn builtin(name: &str, cfg: &ExperimentConfig) -> Option<SweepSpec> {
     }
 }
 
+/// [`builtin`], or a spec error naming the unknown sweep with the nearest
+/// builtin as a suggestion — the unknown-name error of `sweep gen` and
+/// `full_report`.
+///
+/// # Errors
+///
+/// [`SweepError::Spec`] when `name` is not a builtin sweep.
+pub fn require_builtin(name: &str, cfg: &ExperimentConfig) -> Result<SweepSpec, SweepError> {
+    builtin(name, cfg).ok_or_else(|| {
+        let suggestion = nearest_builtin(name)
+            .filter(|near| *near != REPORT_SPEC_NAME)
+            .map(|near| format!(" did you mean `{near}`?"))
+            .unwrap_or_default();
+        SweepError::Spec(format!(
+            "unknown builtin sweep `{name}`;{suggestion} available: {}",
+            BUILTIN_SWEEPS.join(", ")
+        ))
+    })
+}
+
 /// The closest builtin name (including the composed [`REPORT_SPEC_NAME`])
 /// within a small edit distance of `name` — the "did you mean" suggestion
 /// behind the `sweep` CLI's unknown-spec errors.  `None` when nothing is
@@ -168,42 +185,6 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// The builtin sweeps that run experiment family `binary` on `backend`'s
-/// engine family (most binaries render one table, `e07` renders its a/b
-/// pair and `ablations` all three), or `None` when no variant exists there.
-///
-/// Keyed on [`Backend::as_str`] (the family name), not on enum variants, so
-/// adding a backend to [`Backend::ALL`] does not force edits here — a family
-/// without a variant simply stays unlisted.
-#[must_use]
-pub fn variant_for(binary: &str, backend: Backend) -> Option<&'static [&'static str]> {
-    let variants: &[(&str, &'static [&'static str])] = match binary {
-        "e01" => &[
-            ("agents", &["e01"]),
-            ("dense", &["e01-dense"]),
-            ("hybrid", &["e01-hybrid"]),
-        ],
-        "e02" => &[("agents", &["e02"])],
-        "e03" => &[("agents", &["e03"])],
-        "e04" => &[("agents", &["e04"])],
-        "e05" => &[("agents", &["e05"])],
-        "e06" => &[("agents", &["e06"])],
-        "e07" => &[("agents", &["e07a", "e07b"])],
-        "e08" => &[("agents", &["e08"]), ("dense", &["e08-dense"])],
-        "e09" => &[("agents", &["e09"])],
-        "e10" => &[("agents", &["e10"])],
-        "e11" => &[("agents", &["e11"])],
-        "e12" => &[("agents", &["e12"])],
-        "ablations" => &[("agents", &["a1", "a2", "a3"])],
-        "e13" => &[("agents", &["e13"])],
-        _ => return None,
-    };
-    variants
-        .iter()
-        .find(|(family, _)| *family == backend.as_str())
-        .map(|(_, names)| *names)
-}
-
 /// Renders the named builtin sweep's table from its aggregates.
 ///
 /// # Panics
@@ -233,68 +214,6 @@ pub fn render(name: &str, cells: &CellPairs) -> Table {
         "e13" => render_e13(cells),
         other => panic!("no renderer for sweep `{other}`"),
     }
-}
-
-/// The single backend dispatch point for the experiment binaries: resolves
-/// `cfg.backend` to the family's sweep variant, runs it through the registry
-/// and renders its table.  This replaces the per-binary
-/// `match cfg.backend {...}` blocks, so binaries stay untouched when a
-/// backend family gains or loses a variant.
-///
-/// The sweep keeps `cfg.backend` verbatim (`--backend hybrid:64` runs with
-/// 64 tracked agents, not the builtin spec's default).
-///
-/// # Panics
-///
-/// Panics, naming `--backend`, when the family has no variant on the
-/// configured backend.
-#[must_use]
-pub fn backend_tables(binary: &str, cfg: &ExperimentConfig) -> Vec<Table> {
-    let names = variant_for(binary, cfg.backend).unwrap_or_else(|| {
-        let supported: Vec<&str> = Backend::ALL
-            .iter()
-            .filter(|b| variant_for(binary, **b).is_some())
-            .map(|b| b.as_str())
-            .collect();
-        panic!(
-            "`{binary}` has no --backend {} variant; supported: {}",
-            cfg.backend,
-            supported.join(", ")
-        )
-    });
-    names
-        .iter()
-        .map(|name| {
-            let mut spec = builtin(name, cfg).expect("variant_for only names builtin sweeps");
-            spec.backend = cfg.backend;
-            render(name, &run_in_memory(&spec, cfg))
-        })
-        .collect()
-}
-
-/// Runs a spec in memory (no store) with the builtin registry, honouring the
-/// configuration's `--threads` override, and pairs each cell spec with its
-/// record in grid order.
-///
-/// # Panics
-///
-/// Panics when the sweep fails — for builtin specs that means a bug, and the
-/// experiment binaries have no useful way to continue.
-#[must_use]
-pub fn run_in_memory(spec: &SweepSpec, cfg: &ExperimentConfig) -> CellPairs {
-    let mut runner = SweepRunner::new();
-    if let Some(threads) = cfg.threads {
-        runner = runner.with_threads(threads);
-    }
-    let outcome = runner
-        .run(spec, &ProtocolRegistry::builtin(), None)
-        .unwrap_or_else(|e| panic!("sweep `{}` failed: {e}", spec.name));
-    assert!(
-        outcome.completed,
-        "in-memory sweeps always run the full grid"
-    );
-    let grid = spec.expand().expect("a spec that ran also expands");
-    grid.into_iter().zip(outcome.cells).collect()
 }
 
 fn params_map(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
@@ -377,13 +296,6 @@ pub fn e01_sweep(cfg: &ExperimentConfig) -> SweepSpec {
                 .collect(),
         }],
     }
-}
-
-/// Runs the migrated E1 sweep and renders the legacy table (digit-identical
-/// to the retired `scaling::e01_rounds_vs_n`).
-#[must_use]
-pub fn e01_table(cfg: &ExperimentConfig) -> Table {
-    render_e01(&run_in_memory(&e01_sweep(cfg), cfg))
 }
 
 /// Renders E1 from sweep aggregates (also used on persisted stores).
@@ -475,13 +387,6 @@ pub fn e01_hybrid_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     }
 }
 
-/// Runs the migrated E1-D sweep and renders the legacy table
-/// (digit-identical to the retired `scaling::e01_dense_scaling` on the dense backend).
-#[must_use]
-pub fn e01_dense_table(cfg: &ExperimentConfig) -> Table {
-    render_e01_dense(&run_in_memory(&e01_dense_sweep(cfg), cfg))
-}
-
 /// Renders E1-D from sweep aggregates.  The title reports the backend the
 /// cells actually ran on (`dense` or `hybrid:k`).
 #[must_use]
@@ -539,13 +444,6 @@ pub fn e02_sweep(cfg: &ExperimentConfig) -> SweepSpec {
             values: scaling::epsilon_grid(cfg),
         }],
     }
-}
-
-/// Runs the migrated E2 sweep and renders the legacy table (digit-identical
-/// to the retired `scaling::e02_rounds_vs_epsilon`).
-#[must_use]
-pub fn e02_table(cfg: &ExperimentConfig) -> Table {
-    render_e02(&run_in_memory(&e02_sweep(cfg), cfg))
 }
 
 /// Renders E2 from sweep aggregates.
@@ -610,13 +508,6 @@ pub fn e03_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     }
 }
 
-/// Runs the migrated E3 sweep and renders the legacy table (digit-identical
-/// to the retired `scaling::e03_message_complexity`).
-#[must_use]
-pub fn e03_table(cfg: &ExperimentConfig) -> Table {
-    render_e03(&run_in_memory(&e03_sweep(cfg), cfg))
-}
-
 /// Renders E3 from sweep aggregates.
 #[must_use]
 pub fn render_e03(cells: &CellPairs) -> Table {
@@ -673,13 +564,6 @@ pub fn e04_sweep(cfg: &ExperimentConfig) -> SweepSpec {
             values: E04_EPSILONS.to_vec(),
         }],
     }
-}
-
-/// Runs the migrated E4 sweep and renders the legacy table (digit-identical
-/// to the retired `stage_claims::e04_phase0_seeding`).
-#[must_use]
-pub fn e04_table(cfg: &ExperimentConfig) -> Table {
-    render_e04(&run_in_memory(&e04_sweep(cfg), cfg))
 }
 
 /// Renders E4 from sweep aggregates.
@@ -752,13 +636,6 @@ pub fn e05_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     }
 }
 
-/// Runs the migrated E5 sweep and renders the legacy table (digit-identical
-/// to the retired `stage_claims::e05_layer_growth`).
-#[must_use]
-pub fn e05_table(cfg: &ExperimentConfig) -> Table {
-    render_e05(&run_in_memory(&e05_sweep(cfg), cfg))
-}
-
 /// Renders E5 from sweep aggregates: one row per intermediate Stage I level
 /// (walked by metric presence — the registry records `level_cum_{i}` for
 /// every level but the last), then the all-activated summary row.
@@ -820,13 +697,6 @@ pub fn e06_sweep(cfg: &ExperimentConfig) -> SweepSpec {
         defaults: layered_defaults(cfg.pick(4_000, 10_000), 0.45),
         axes: vec![],
     }
-}
-
-/// Runs the migrated E6 sweep and renders the legacy table (digit-identical
-/// to the retired `stage_claims::e06_bias_decay`).
-#[must_use]
-pub fn e06_table(cfg: &ExperimentConfig) -> Table {
-    render_e06(&run_in_memory(&e06_sweep(cfg), cfg))
 }
 
 /// Renders E6 from sweep aggregates.  A level whose bias metric is absent
@@ -908,13 +778,6 @@ pub fn e07a_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     }
 }
 
-/// Runs the migrated E7a sweep and renders the legacy table (digit-identical
-/// to the first table of the retired `stage_claims::e07_stage2_boost`).
-#[must_use]
-pub fn e07a_table(cfg: &ExperimentConfig) -> Table {
-    render_e07a(&run_in_memory(&e07a_sweep(cfg), cfg))
-}
-
 /// Renders E7a from sweep aggregates.
 #[must_use]
 pub fn render_e07a(cells: &CellPairs) -> Table {
@@ -959,13 +822,6 @@ pub fn e07b_sweep(cfg: &ExperimentConfig) -> SweepSpec {
         defaults: params_map(&[("n", cfg.pick(1_000, 2_000) as f64), ("epsilon", 0.2)]),
         axes: vec![],
     }
-}
-
-/// Runs the migrated E7b sweep and renders the legacy table (digit-identical
-/// to the second table of the retired `stage_claims::e07_stage2_boost`).
-#[must_use]
-pub fn e07b_table(cfg: &ExperimentConfig) -> Table {
-    render_e07b(&run_in_memory(&e07b_sweep(cfg), cfg))
 }
 
 /// Renders E7b from sweep aggregates: the bias trajectory from the last
@@ -1063,13 +919,6 @@ pub fn e08_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     }
 }
 
-/// Runs the migrated E8 sweep and renders the legacy table (digit-identical
-/// to the retired `consensus::e08_majority_consensus`).
-#[must_use]
-pub fn e08_table(cfg: &ExperimentConfig) -> Table {
-    render_e08(&run_in_memory(&e08_sweep(cfg), cfg))
-}
-
 /// Renders E8 from sweep aggregates.
 #[must_use]
 pub fn render_e08(cells: &CellPairs) -> Table {
@@ -1135,13 +984,6 @@ pub fn e08_dense_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     }
 }
 
-/// Runs the migrated E8-D sweep and renders the legacy table
-/// (digit-identical to the retired `consensus::e08_dense_majority`).
-#[must_use]
-pub fn e08_dense_table(cfg: &ExperimentConfig) -> Table {
-    render_e08_dense(&run_in_memory(&e08_dense_sweep(cfg), cfg))
-}
-
 /// Renders E8-D from sweep aggregates.
 #[must_use]
 pub fn render_e08_dense(cells: &CellPairs) -> Table {
@@ -1205,13 +1047,6 @@ pub fn e09_sweep(cfg: &ExperimentConfig) -> SweepSpec {
             },
         ],
     }
-}
-
-/// Runs the migrated E9 sweep and renders the legacy table (digit-identical
-/// to the retired `scaling::e09_async_overhead`).
-#[must_use]
-pub fn e09_table(cfg: &ExperimentConfig) -> Table {
-    render_e09(&run_in_memory(&e09_sweep(cfg), cfg))
 }
 
 /// Renders E9 from sweep aggregates.  The round counts quote trial 0 (the
@@ -1297,13 +1132,6 @@ pub fn e10_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     }
 }
 
-/// Runs the migrated E10 sweep and renders the legacy table (digit-identical
-/// to the retired `comparisons::e10_baseline_comparison`).
-#[must_use]
-pub fn e10_table(cfg: &ExperimentConfig) -> Table {
-    render_e10(&run_in_memory(&e10_sweep(cfg), cfg))
-}
-
 /// Renders E10 from sweep aggregates.
 #[must_use]
 pub fn render_e10(cells: &CellPairs) -> Table {
@@ -1374,13 +1202,6 @@ pub fn e11_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     }
 }
 
-/// Runs the migrated E11 sweep and renders the legacy table (digit-identical
-/// to the retired `comparisons::e11_path_deterioration`).
-#[must_use]
-pub fn e11_table(cfg: &ExperimentConfig) -> Table {
-    render_e11(&run_in_memory(&e11_sweep(cfg), cfg))
-}
-
 /// Renders E11 from sweep aggregates.
 #[must_use]
 pub fn render_e11(cells: &CellPairs) -> Table {
@@ -1442,13 +1263,6 @@ pub fn e12_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     }
 }
 
-/// Runs the migrated E12 sweep and renders the legacy table (digit-identical
-/// to the retired `comparisons::e12_two_party_lower_bound`).
-#[must_use]
-pub fn e12_table(cfg: &ExperimentConfig) -> Table {
-    render_e12(&run_in_memory(&e12_sweep(cfg), cfg))
-}
-
 /// Renders E12 from sweep aggregates.
 #[must_use]
 pub fn render_e12(cells: &CellPairs) -> Table {
@@ -1504,13 +1318,6 @@ pub fn a1_sweep(cfg: &ExperimentConfig) -> SweepSpec {
     }
 }
 
-/// Runs the migrated A1 sweep and renders the legacy table (digit-identical
-/// to the retired `ablations::a1_required_initial_bias`).
-#[must_use]
-pub fn a1_table(cfg: &ExperimentConfig) -> Table {
-    render_a1(&run_in_memory(&a1_sweep(cfg), cfg))
-}
-
 /// Renders A1 from sweep aggregates.
 #[must_use]
 pub fn render_a1(cells: &CellPairs) -> Table {
@@ -1563,13 +1370,6 @@ pub fn a2_sweep(cfg: &ExperimentConfig) -> SweepSpec {
             values: A2_GAMMA_MULTIPLIERS.to_vec(),
         }],
     }
-}
-
-/// Runs the migrated A2 sweep and renders the legacy table (digit-identical
-/// to the retired `ablations::a2_gamma_requirement`).
-#[must_use]
-pub fn a2_table(cfg: &ExperimentConfig) -> Table {
-    render_a2(&run_in_memory(&a2_sweep(cfg), cfg))
 }
 
 /// Renders A2 from sweep aggregates.
@@ -1632,13 +1432,6 @@ pub fn a3_sweep(cfg: &ExperimentConfig) -> SweepSpec {
             values: A3_S_MULTIPLIERS.to_vec(),
         }],
     }
-}
-
-/// Runs the migrated A3 sweep and renders the legacy table (digit-identical
-/// to the retired `ablations::a3_phase0_requirement`).
-#[must_use]
-pub fn a3_table(cfg: &ExperimentConfig) -> Table {
-    render_a3(&run_in_memory(&a3_sweep(cfg), cfg))
 }
 
 /// Renders A3 from sweep aggregates.
@@ -1714,12 +1507,6 @@ pub fn e13_sweep(cfg: &ExperimentConfig) -> SweepSpec {
             },
         ],
     }
-}
-
-/// Runs the E13 sweep and renders its table.
-#[must_use]
-pub fn e13_table(cfg: &ExperimentConfig) -> Table {
-    render_e13(&run_in_memory(&e13_sweep(cfg), cfg))
 }
 
 /// Renders E13 from sweep aggregates.  All statistics are over the honest
@@ -1834,35 +1621,6 @@ mod tests {
     }
 
     #[test]
-    fn facade_resolves_every_backend_family_it_supports() {
-        assert_eq!(variant_for("e01", Backend::Agents), Some(&["e01"][..]));
-        assert_eq!(variant_for("e01", Backend::Dense), Some(&["e01-dense"][..]));
-        assert_eq!(
-            variant_for("e01", Backend::Hybrid(7)),
-            Some(&["e01-hybrid"][..])
-        );
-        assert_eq!(variant_for("e02", Backend::Agents), Some(&["e02"][..]));
-        assert_eq!(variant_for("e02", Backend::Dense), None);
-        assert_eq!(variant_for("e03", Backend::Agents), Some(&["e03"][..]));
-        assert_eq!(variant_for("e03", Backend::Dense), None);
-        assert_eq!(
-            variant_for("e07", Backend::Agents),
-            Some(&["e07a", "e07b"][..])
-        );
-        assert_eq!(variant_for("e07", Backend::Dense), None);
-        assert_eq!(variant_for("e08", Backend::Agents), Some(&["e08"][..]));
-        assert_eq!(variant_for("e08", Backend::Dense), Some(&["e08-dense"][..]));
-        assert_eq!(variant_for("e08", Backend::Hybrid(7)), None);
-        assert_eq!(
-            variant_for("ablations", Backend::Agents),
-            Some(&["a1", "a2", "a3"][..])
-        );
-        assert_eq!(variant_for("e13", Backend::Agents), Some(&["e13"][..]));
-        assert_eq!(variant_for("e13", Backend::Dense), None);
-        assert_eq!(variant_for("e99", Backend::Agents), None);
-    }
-
-    #[test]
     fn e03_sweep_crosses_n_with_epsilon_in_legacy_order() {
         let cfg = tiny();
         let spec = e03_sweep(&cfg);
@@ -1945,37 +1703,6 @@ mod tests {
     }
 
     #[test]
-    fn facade_rejects_a_backend_without_a_variant_naming_the_flag() {
-        let cfg = ExperimentConfig {
-            backend: Backend::Hybrid(4),
-            ..tiny()
-        };
-        let result = std::panic::catch_unwind(|| backend_tables("e08", &cfg));
-        let message = match result {
-            Ok(_) => panic!("e08 on hybrid must be rejected"),
-            Err(payload) => payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default(),
-        };
-        assert!(message.contains("--backend"), "{message}");
-        assert!(message.contains("agents, dense"), "{message}");
-    }
-
-    #[test]
-    fn facade_threads_the_exact_backend_value_into_the_sweep() {
-        // `--backend hybrid:3` must run 3 tracked agents, not the builtin
-        // spec's DEFAULT_HYBRID_TRACKED.
-        let cfg = ExperimentConfig {
-            backend: Backend::Hybrid(3),
-            ..tiny()
-        };
-        let tables = backend_tables("e01", &cfg);
-        assert_eq!(tables.len(), 1);
-        assert!(tables[0].to_markdown().contains("hybrid:3"));
-    }
-
-    #[test]
     fn sweep_families_partition_the_builtin_list() {
         let grouped: Vec<&str> = SWEEP_FAMILIES
             .iter()
@@ -2006,6 +1733,17 @@ mod tests {
         // The hash is content-addressed: a config change moves it.
         let full = report_spec(&ExperimentConfig::full());
         assert_ne!(spec.hash_hex(), full.hash_hex());
+    }
+
+    #[test]
+    fn require_builtin_names_the_unknown_sweep_and_never_suggests_the_report() {
+        let cfg = tiny();
+        assert_eq!(require_builtin("e13", &cfg).unwrap(), e13_sweep(&cfg));
+        let err = require_builtin("e08-dens", &cfg).unwrap_err().to_string();
+        assert!(err.contains("`e08-dens`") && err.contains("did you mean `e08-dense`"));
+        // The composed report is not a builtin sweep, so it is no suggestion.
+        let err = require_builtin("repor", &cfg).unwrap_err().to_string();
+        assert!(!err.contains("did you mean"), "{err}");
     }
 
     #[test]

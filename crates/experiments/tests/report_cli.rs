@@ -1,5 +1,6 @@
 //! End-to-end tests of the composed `full_report` binary: one resumable run
-//! covering every experiment, byte-identical however it is interrupted.
+//! covering every experiment (or the builtin sweeps it is given by name),
+//! byte-identical however it is interrupted.
 //!
 //! The contract under test: `full_report --store DIR` may be cut by a
 //! drained `--max-cells` budget or killed outright (SIGKILL, no cleanup),
@@ -144,4 +145,40 @@ fn a_cut_without_a_store_is_refused() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--max-cells needs --store"), "{stderr}");
+}
+
+#[test]
+fn named_members_cut_and_resumed_match_their_in_memory_run() {
+    let members = ["e07a", "e11"];
+    let in_memory = full_report_ok(&members);
+    assert!(in_memory.contains("### E7a") && in_memory.contains("### E11"));
+    assert!(!in_memory.contains("### E1:"), "only the named members run");
+
+    let root = scratch("named");
+    let store = root.join("store");
+    let store = store.to_str().unwrap();
+    let export = root.join("report.md");
+    let cut = full_report_ok(&["e07a", "e11", "--store", store, "--max-cells", "3"]);
+    assert!(cut.contains("incomplete"), "cut run reports status: {cut}");
+    full_report_ok(&[
+        "e07a",
+        "e11",
+        "--store",
+        store,
+        "--export",
+        export.to_str().unwrap(),
+    ]);
+    assert_eq!(fs::read_to_string(&export).unwrap(), in_memory);
+}
+
+#[test]
+fn an_unknown_member_fails_with_the_nearest_builtin() {
+    let out = full_report(&["e08-dens"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("did you mean `e08-dense`"), "{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "nothing runs before the names resolve"
+    );
 }

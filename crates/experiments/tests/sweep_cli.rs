@@ -365,6 +365,12 @@ fn gen_list_and_generated_specs_are_runnable() {
     let swapped = sweep(&["gen", "--trials", "2", "e01"]);
     assert!(!swapped.status.success());
     assert!(String::from_utf8_lossy(&swapped.stderr).contains("name first"));
+
+    // `gen` prints one spec: a second name is an error, not silently dropped.
+    let two = sweep(&["gen", "e01", "e02"]);
+    assert!(!two.status.success());
+    assert!(two.stdout.is_empty(), "no partial output");
+    assert!(String::from_utf8_lossy(&two.stderr).contains("`e02`"));
 }
 
 #[test]

@@ -25,8 +25,8 @@ pub const DEFAULT_HYBRID_TRACKED: u32 = 16;
 ///   per-agent state) against a dense bulk, exchanging aggregate send counts
 ///   and sampled deliveries each round.
 ///
-/// Experiment binaries select the backend with
-/// `--backend agents|dense|hybrid:k`.
+/// Sweep specs select the backend in their `backend` field
+/// (`agents|dense|hybrid:k`).
 ///
 /// # Example
 ///

@@ -75,8 +75,8 @@ use telemetry::{Event, Phase, Recorder, Telemetry};
 /// agents plus a dense bulk, exchanging aggregate send counts and sampled
 /// deliveries through one shared pool each round.
 ///
-/// Selected by `--backend hybrid:k` in experiment binaries; see the module
-/// docs for the exactness contract.
+/// Selected by a sweep spec's `"backend": "hybrid:k"`; see the module docs
+/// for the exactness contract.
 #[derive(Debug)]
 pub struct HybridSimulation<A, P, C> {
     tracked: Vec<A>,
@@ -121,7 +121,7 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
             return Err(FlipError::InvalidParameter {
                 name: "tracked",
                 message: "the hybrid backend needs a tracked subpopulation of at least \
-                          one agent (select it with `--backend hybrid:k`, k >= 1)"
+                          one agent (select it with backend `hybrid:k`, k >= 1)"
                     .to_string(),
             });
         }
@@ -153,7 +153,7 @@ impl<A: Agent, P: StratifiedProtocol, C: Channel> HybridSimulation<A, P, C> {
                         message: format!(
                             "fault fraction {} of n = {n} makes {faulty} agents faulty, \
                              but the hybrid backend carries faults only on its tracked \
-                             subpopulation of {}; raise `--backend hybrid:k` to k >= {faulty}",
+                             subpopulation of {}; raise the backend to `hybrid:k` with k >= {faulty}",
                             spec.fraction,
                             tracked.len(),
                         ),

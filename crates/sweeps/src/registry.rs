@@ -559,36 +559,38 @@ fn run_baseline_compare(
     let correct = Opinion::One;
     let seed = spec.seed_for_trial(trial);
     let spec_err = |e: flip_model::FlipError| SweepError::Spec(e.to_string());
-    let (fraction, all_correct) = match spec.param_or("baseline", -1.0) as i64 {
-        0 => {
+    // Matched as a float, like `async-broadcast`'s `variant`: a cast would
+    // truncate `1.5` to forwarding and `-0.5` to breathe.
+    let (fraction, all_correct) = match spec.param_or("baseline", -1.0) {
+        0.0 => {
             let outcome = BroadcastProtocol::new(params, correct).run_with_seed(seed)?;
             (outcome.fraction_correct, outcome.all_correct)
         }
-        1 => {
+        1.0 => {
             let outcome = ForwardingProtocol::new(n, epsilon, budget)
                 .map_err(spec_err)?
                 .run_with_seed(correct, seed)?;
             (outcome.fraction_correct, outcome.all_correct)
         }
-        2 => {
+        2.0 => {
             let outcome = WaitForSourceProtocol::new(n, epsilon, budget)
                 .map_err(spec_err)?
                 .run_with_seed(correct, seed)?;
             (outcome.fraction_correct, outcome.all_correct)
         }
-        3 => {
+        3.0 => {
             let outcome = TwoChoicesProtocol::new(n, epsilon, budget)
                 .map_err(spec_err)?
                 .run_with_seed(correct, n / 2 + 1, seed)?;
             (outcome.fraction_correct, outcome.all_correct)
         }
-        4 => {
+        4.0 => {
             let outcome = ThreeStateProtocol::new(n, epsilon, budget)
                 .map_err(spec_err)?
                 .run_with_seed(correct, 1, 0, seed)?;
             (outcome.fraction_correct, outcome.all_correct)
         }
-        5 => {
+        5.0 => {
             let outcome = NoisyVoterProtocol::new(n, epsilon, budget)
                 .map_err(spec_err)?
                 .run_with_seed(correct, seed)?;
@@ -1481,13 +1483,16 @@ mod tests {
             let names: Vec<&str> = metrics.iter().map(|(k, _)| *k).collect();
             assert_eq!(names, vec!["fraction_correct", "all_correct"], "{baseline}");
         }
-        let bad = cell(
-            "baseline-compare",
-            Backend::Agents,
-            &[("n", 200.0), ("epsilon", 0.2), ("baseline", 6.0)],
-        );
-        let err = registry.run_trial(&bad, 0).unwrap_err();
-        assert!(err.to_string().contains("0..=5"), "{err}");
+        // Out of range or not an integer: never rounded onto a neighbour.
+        for baseline in [6.0, 1.5, -0.5] {
+            let bad = cell(
+                "baseline-compare",
+                Backend::Agents,
+                &[("n", 200.0), ("epsilon", 0.2), ("baseline", baseline)],
+            );
+            let err = registry.run_trial(&bad, 0).unwrap_err();
+            assert!(err.to_string().contains("0..=5"), "{baseline}: {err}");
+        }
     }
 
     #[test]
