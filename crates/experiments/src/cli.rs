@@ -16,9 +16,10 @@
 //!
 //! All flags accept both `--flag value` and `--flag=value`.  Unknown `--`
 //! flags, and in [`parse_config`] stray positional words, panic with a usage
-//! message — a typo must never silently run a default configuration.  Zero values for `--trials`, `--threads` and
-//! `--rounds` are rejected with an explicit message: a zero would not error
-//! downstream, it would silently produce empty runs and empty aggregates.
+//! message — a typo must never silently run a default configuration.  Zero
+//! values for `--trials`, `--threads` and `--rounds` are rejected with an
+//! explicit message: a zero would not error downstream, it would silently
+//! produce empty runs and empty aggregates.
 //! The same convention covers `--faults`: a zero fraction (`byz:0`) and an
 //! unknown fault kind both panic naming the flag, and a fraction at or past
 //! the Byzantine-consensus bound `1/3` needs the explicit
@@ -72,6 +73,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> (ExperimentConfig,
             continue;
         }
         if arg == "--full" {
+            // Selected the preset above.
             continue;
         }
         let (flag, value) = match arg.split_once('=') {
