@@ -206,6 +206,36 @@ fn e13_sweep_reproduces_the_golden_table_digit_for_digit() {
 }
 
 #[test]
+fn e13_fractions_stay_in_the_unit_interval_under_faults() {
+    // Ben-Or and the majority run draw separate fault plans, so each
+    // fraction must be over its own engine's honest agents; dividing by the
+    // other engine's count pushed Ben-Or's decided fraction to 1.03 here.
+    let spec = specs::builtin("e13", &tiny(2)).expect("a builtin sweep");
+    let outcome = SweepRunner::new()
+        .run(&spec, &ProtocolRegistry::builtin(), None)
+        .unwrap();
+    let grid = spec.expand().unwrap();
+    let mut checked = 0;
+    for (cell, record) in grid.iter().zip(&outcome.cells) {
+        if cell.param_or("fault_fraction", 0.0) == 0.0 {
+            continue;
+        }
+        for (name, aggregate) in &record.metrics {
+            if name.contains("_fraction") {
+                let (min, max) = (aggregate.moments.min, aggregate.moments.max);
+                assert!(
+                    (0.0..=1.0).contains(&min) && (0.0..=1.0).contains(&max),
+                    "point {}: {name} spans [{min}, {max}]",
+                    cell.point
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 8 * 3, "faulty cells and their fraction metrics");
+}
+
+#[test]
 fn a1_sweep_reproduces_the_golden_table_digit_for_digit() {
     check("a1", &tiny(2));
 }

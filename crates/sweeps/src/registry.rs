@@ -1270,20 +1270,29 @@ fn run_bft_compare(
             .all(|(i, a)| a.is_done() || s.fault_plan().is_some_and(|p| p.is_faulty(i)))
     });
     ctx.absorb(benor.take_telemetry());
-    let (_, benor_correct) = honest_count(&benor, |a| a.opinion() == Some(Opinion::One));
+    // Each engine draws its own fault plan (streams 0 and 1), so each
+    // fraction is over that engine's own honest agents.
+    let (benor_honest, benor_correct) = honest_count(&benor, |a| a.opinion() == Some(Opinion::One));
     let (_, benor_decided) = honest_count(&benor, |a| a.is_done());
 
     let messages = majority.metrics().messages_sent + benor.metrics().messages_sent;
     let all_correct = honest > 0 && majority_correct == honest;
     let honest = honest.max(1) as f64;
+    let benor_honest = benor_honest.max(1) as f64;
     Ok(vec![
         (
             "majority_fraction_correct",
             majority_correct as f64 / honest,
         ),
         ("majority_all_correct", f64::from(u8::from(all_correct))),
-        ("benor_fraction_correct", benor_correct as f64 / honest),
-        ("benor_decided_fraction", benor_decided as f64 / honest),
+        (
+            "benor_fraction_correct",
+            benor_correct as f64 / benor_honest,
+        ),
+        (
+            "benor_decided_fraction",
+            benor_decided as f64 / benor_honest,
+        ),
         ("benor_rounds", benor_rounds as f64),
         ("messages_sent", messages as f64),
     ])
