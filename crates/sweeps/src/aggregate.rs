@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use analysis::streaming::{P2Quantile, P2State, StreamingEstimator, StreamingMoments};
 
 use crate::error::SweepError;
-use crate::json::Json;
+use crate::json::{write_f64, write_str, write_u64, Json, Reader};
 
 /// The quantiles every metric tracks.
 pub const TRACKED_QUANTILES: [f64; 3] = [0.1, 0.5, 0.9];
@@ -55,72 +55,63 @@ impl MetricAggregate {
         self.quantiles[i].estimate()
     }
 
-    /// Serializes the full aggregate state.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
+    /// Writes the full aggregate state as one JSON object.
+    fn write_json(&self, out: &mut String) {
         let m = &self.moments;
-        Json::object(vec![
-            ("count".into(), Json::UInt(m.count)),
-            ("sum".into(), Json::Float(m.sum)),
-            ("welford_mean".into(), Json::Float(m.welford_mean)),
-            ("m2".into(), Json::Float(m.m2)),
-            ("min".into(), Json::Float(m.min)),
-            ("max".into(), Json::Float(m.max)),
-            (
-                "quantiles".into(),
-                Json::Array(
-                    self.quantiles
-                        .iter()
-                        .map(|s| p2_to_json(&s.snapshot()))
-                        .collect(),
-                ),
-            ),
-        ])
+        out.push_str("{\"count\":");
+        write_u64(out, m.count);
+        for (key, value) in [
+            (",\"sum\":", m.sum),
+            (",\"welford_mean\":", m.welford_mean),
+            (",\"m2\":", m.m2),
+            (",\"min\":", m.min),
+            (",\"max\":", m.max),
+        ] {
+            out.push_str(key);
+            write_f64(out, value);
+        }
+        out.push_str(",\"quantiles\":[");
+        for (i, sketch) in self.quantiles.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_sketch(out, &sketch.snapshot());
+        }
+        out.push_str("]}");
     }
 
-    /// Restores an aggregate from [`MetricAggregate::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SweepError::Store`] on missing fields or inconsistent
-    /// sketch state.
-    pub fn from_json(doc: &Json) -> Result<Self, SweepError> {
-        let moments = StreamingMoments {
-            count: field_u64(doc, "count")?,
-            sum: field_f64(doc, "sum")?,
-            welford_mean: field_f64(doc, "welford_mean")?,
-            m2: field_f64(doc, "m2")?,
-            min: field_f64(doc, "min")?,
-            max: field_f64(doc, "max")?,
-        };
-        let sketches = doc
-            .get("quantiles")
-            .and_then(Json::as_array)
-            .ok_or_else(|| SweepError::Store("aggregate has no `quantiles`".into()))?;
-        if sketches.len() != TRACKED_QUANTILES.len() {
-            return Err(SweepError::Store(format!(
-                "expected {} quantile sketches, found {}",
-                TRACKED_QUANTILES.len(),
-                sketches.len()
-            )));
-        }
-        let mut quantiles = Vec::with_capacity(TRACKED_QUANTILES.len());
-        for (expected_q, sketch) in TRACKED_QUANTILES.iter().zip(sketches) {
-            let state = p2_from_json(sketch)?;
-            if (state.q - expected_q).abs() > 1e-12 {
-                return Err(SweepError::Store(format!(
-                    "quantile sketch order mismatch: expected q={expected_q}, found q={}",
-                    state.q
-                )));
+    /// Reads what [`MetricAggregate::write_json`] wrote.  Unknown keys are
+    /// skipped and the first of duplicate keys wins, as a tree lookup would.
+    fn read(reader: &mut Reader<'_>) -> Result<Self, String> {
+        let (mut count, mut sum, mut welford_mean, mut m2, mut min, mut max) =
+            (None, None, None, None, None, None);
+        let mut quantiles = None;
+        reader.begin_object()?;
+        while let Some(key) = reader.next_key()? {
+            match &*key {
+                "count" if count.is_none() => count = Some(read_u64(reader, "count")?),
+                "sum" if sum.is_none() => sum = Some(read_f64(reader, "sum")?),
+                "welford_mean" if welford_mean.is_none() => {
+                    welford_mean = Some(read_f64(reader, "welford_mean")?);
+                }
+                "m2" if m2.is_none() => m2 = Some(read_f64(reader, "m2")?),
+                "min" if min.is_none() => min = Some(read_f64(reader, "min")?),
+                "max" if max.is_none() => max = Some(read_f64(reader, "max")?),
+                "quantiles" if quantiles.is_none() => quantiles = Some(read_sketches(reader)?),
+                _ => {
+                    reader.value()?;
+                }
             }
-            quantiles.push(
-                P2Quantile::restore(state)
-                    .ok_or_else(|| SweepError::Store("inconsistent P² sketch state".into()))?,
-            );
         }
-        let quantiles: [P2Quantile; 3] = quantiles
-            .try_into()
-            .map_err(|_| SweepError::Store("quantile sketch count mismatch".into()))?;
+        let moments = StreamingMoments {
+            count: count.ok_or("missing or non-integer `count`")?,
+            sum: require_f64(sum, "sum")?,
+            welford_mean: require_f64(welford_mean, "welford_mean")?,
+            m2: require_f64(m2, "m2")?,
+            min: require_f64(min, "min")?,
+            max: require_f64(max, "max")?,
+        };
+        let quantiles = quantiles.ok_or("aggregate has no `quantiles`")?;
         Ok(Self { moments, quantiles })
     }
 }
@@ -131,76 +122,130 @@ impl Default for MetricAggregate {
     }
 }
 
-fn p2_to_json(state: &P2State) -> Json {
-    Json::object(vec![
-        ("q".into(), Json::Float(state.q)),
-        ("count".into(), Json::UInt(state.count)),
-        (
-            "heights".into(),
-            Json::Array(state.heights.iter().map(|&v| Json::Float(v)).collect()),
-        ),
-        (
-            "positions".into(),
-            Json::Array(state.positions.iter().map(|&v| Json::Float(v)).collect()),
-        ),
-        (
-            "desired".into(),
-            Json::Array(state.desired.iter().map(|&v| Json::Float(v)).collect()),
-        ),
-        (
-            "buffer".into(),
-            Json::Array(state.buffer.iter().map(|&v| Json::Float(v)).collect()),
-        ),
-    ])
+fn write_sketch(out: &mut String, state: &P2State) {
+    out.push_str("{\"q\":");
+    write_f64(out, state.q);
+    out.push_str(",\"count\":");
+    write_u64(out, state.count);
+    for (key, values) in [
+        (",\"heights\":[", &state.heights[..]),
+        (",\"positions\":[", &state.positions[..]),
+        (",\"desired\":[", &state.desired[..]),
+        (",\"buffer\":[", &state.buffer[..]),
+    ] {
+        out.push_str(key);
+        for (i, &v) in values.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_f64(out, v);
+        }
+        out.push(']');
+    }
+    out.push('}');
 }
 
-fn p2_from_json(doc: &Json) -> Result<P2State, SweepError> {
-    Ok(P2State {
-        q: field_f64(doc, "q")?,
-        count: field_u64(doc, "count")?,
-        heights: field_array5(doc, "heights")?,
-        positions: field_array5(doc, "positions")?,
-        desired: field_array5(doc, "desired")?,
-        buffer: doc
-            .get("buffer")
-            .and_then(Json::as_array)
-            .ok_or_else(|| SweepError::Store("sketch has no `buffer`".into()))?
-            .iter()
-            .map(|v| {
-                v.as_f64()
-                    .ok_or_else(|| SweepError::Store("non-numeric buffer entry".into()))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
+/// Reads the `quantiles` array: one sketch per [`TRACKED_QUANTILES`] entry,
+/// in that order, each restorable.
+fn read_sketches(reader: &mut Reader<'_>) -> Result<[P2Quantile; 3], String> {
+    let mut sketches = Vec::with_capacity(TRACKED_QUANTILES.len());
+    reader.begin_array()?;
+    while reader.next_item()? {
+        if sketches.len() == TRACKED_QUANTILES.len() {
+            return Err(format!(
+                "expected {} quantile sketches, found more",
+                TRACKED_QUANTILES.len()
+            ));
+        }
+        let state = read_sketch(reader)?;
+        let expected_q = TRACKED_QUANTILES[sketches.len()];
+        if (state.q - expected_q).abs() > 1e-12 {
+            return Err(format!(
+                "quantile sketch order mismatch: expected q={expected_q}, found q={}",
+                state.q
+            ));
+        }
+        sketches.push(P2Quantile::restore(state).ok_or("inconsistent P² sketch state")?);
+    }
+    let found = sketches.len();
+    sketches.try_into().map_err(|_| {
+        format!(
+            "expected {} quantile sketches, found {found}",
+            TRACKED_QUANTILES.len()
+        )
     })
 }
 
-fn field_f64(doc: &Json, key: &str) -> Result<f64, SweepError> {
-    doc.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| SweepError::Store(format!("missing or non-numeric `{key}`")))
+fn read_sketch(reader: &mut Reader<'_>) -> Result<P2State, String> {
+    let (mut q, mut count, mut buffer) = (None, None, None);
+    let (mut heights, mut positions, mut desired) = (None, None, None);
+    reader.begin_object()?;
+    while let Some(key) = reader.next_key()? {
+        match &*key {
+            "q" if q.is_none() => q = Some(read_f64(reader, "q")?),
+            "count" if count.is_none() => count = Some(read_u64(reader, "count")?),
+            "heights" if heights.is_none() => heights = Some(read_array5(reader, "heights")?),
+            "positions" if positions.is_none() => {
+                positions = Some(read_array5(reader, "positions")?);
+            }
+            "desired" if desired.is_none() => desired = Some(read_array5(reader, "desired")?),
+            "buffer" if buffer.is_none() => {
+                let mut values = Vec::new();
+                reader.begin_array()?;
+                while reader.next_item()? {
+                    values.push(read_f64(reader, "buffer")?);
+                }
+                buffer = Some(values);
+            }
+            _ => {
+                reader.value()?;
+            }
+        }
+    }
+    Ok(P2State {
+        q: require_f64(q, "q")?,
+        count: count.ok_or("missing or non-integer `count`")?,
+        heights: heights.ok_or("missing `heights` array")?,
+        positions: positions.ok_or("missing `positions` array")?,
+        desired: desired.ok_or("missing `desired` array")?,
+        buffer: buffer.ok_or("sketch has no `buffer`")?,
+    })
 }
 
-fn field_u64(doc: &Json, key: &str) -> Result<u64, SweepError> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| SweepError::Store(format!("missing or non-integer `{key}`")))
+fn read_f64(reader: &mut Reader<'_>, key: &str) -> Result<f64, String> {
+    reader
+        .value()?
+        .as_f64()
+        .ok_or_else(|| format!("missing or non-numeric `{key}`"))
 }
 
-fn field_array5(doc: &Json, key: &str) -> Result<[f64; 5], SweepError> {
-    let items = doc
-        .get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| SweepError::Store(format!("missing `{key}` array")))?;
-    let values: Vec<f64> = items
-        .iter()
-        .map(|v| {
-            v.as_f64()
-                .ok_or_else(|| SweepError::Store(format!("non-numeric `{key}` entry")))
-        })
-        .collect::<Result<_, _>>()?;
-    values
-        .try_into()
-        .map_err(|_| SweepError::Store(format!("`{key}` must have exactly 5 entries")))
+fn read_u64(reader: &mut Reader<'_>, key: &str) -> Result<u64, String> {
+    reader
+        .value()?
+        .as_u64()
+        .ok_or_else(|| format!("missing or non-integer `{key}`"))
+}
+
+fn require_f64(value: Option<f64>, key: &str) -> Result<f64, String> {
+    value.ok_or_else(|| format!("missing or non-numeric `{key}`"))
+}
+
+fn read_array5(reader: &mut Reader<'_>, key: &str) -> Result<[f64; 5], String> {
+    let mut values = [0.0; 5];
+    let mut len = 0;
+    reader.begin_array()?;
+    while reader.next_item()? {
+        let value = read_f64(reader, key)?;
+        *values
+            .get_mut(len)
+            .ok_or_else(|| format!("`{key}` must have exactly 5 entries"))? = value;
+        len += 1;
+    }
+    if len == values.len() {
+        Ok(values)
+    } else {
+        Err(format!("`{key}` must have exactly 5 entries"))
+    }
 }
 
 /// A completed sweep cell: its address, spec echo, and per-metric aggregates.
@@ -247,50 +292,84 @@ impl CellRecord {
     /// One shard-store JSONL line (no trailing newline).
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        Json::object(vec![
-            ("cell".into(), Json::Str(self.hash.clone())),
-            ("point".into(), Json::UInt(self.point)),
-            ("trials".into(), Json::UInt(u64::from(self.trials))),
-            (
-                "metrics".into(),
-                Json::Object(
-                    self.metrics
-                        .iter()
-                        .map(|(name, agg)| (name.clone(), agg.to_json()))
-                        .collect(),
-                ),
-            ),
-        ])
-        .to_string()
+        let mut out = String::new();
+        self.write_json_line(&mut out);
+        out
+    }
+
+    /// Appends [`CellRecord::to_json_line`]'s text to `out`: the shard
+    /// writer and the JSON export splice records through this.
+    pub(crate) fn write_json_line(&self, out: &mut String) {
+        out.push_str("{\"cell\":");
+        write_str(out, &self.hash);
+        out.push_str(",\"point\":");
+        write_u64(out, self.point);
+        out.push_str(",\"trials\":");
+        write_u64(out, u64::from(self.trials));
+        out.push_str(",\"metrics\":{");
+        for (i, (name, aggregate)) in self.metrics.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_str(out, name);
+            out.push(':');
+            aggregate.write_json(out);
+        }
+        out.push_str("}}");
     }
 
     /// Parses one shard-store line.
+    ///
+    /// Reads the line in one pass without building a JSON tree; it accepts
+    /// exactly the lines whose [`crate::json::parse`] tree has the record
+    /// schema (unknown keys skipped, the first of duplicate keys winning,
+    /// the last of duplicate metric names).
     ///
     /// # Errors
     ///
     /// Returns [`SweepError::Store`] on malformed JSON or schema drift.
     pub fn from_json_line(line: &str) -> Result<Self, SweepError> {
-        let doc = crate::json::parse(line).map_err(SweepError::Store)?;
-        let hash = doc
-            .get("cell")
-            .and_then(Json::as_str)
-            .ok_or_else(|| SweepError::Store("record has no `cell` hash".into()))?
-            .to_string();
-        let point = field_u64(&doc, "point")?;
-        let trials = u32::try_from(field_u64(&doc, "trials")?)
-            .map_err(|_| SweepError::Store("`trials` does not fit in u32".into()))?;
-        let metrics = match doc.get("metrics") {
-            Some(Json::Object(pairs)) => pairs
-                .iter()
-                .map(|(name, value)| Ok((name.clone(), MetricAggregate::from_json(value)?)))
-                .collect::<Result<BTreeMap<_, _>, SweepError>>()?,
-            _ => return Err(SweepError::Store("record has no `metrics` object".into())),
-        };
+        let mut reader = Reader::new(line);
+        let record = Self::read(&mut reader).and_then(|record| {
+            reader.finish()?;
+            Ok(record)
+        });
+        record.map_err(SweepError::Store)
+    }
+
+    fn read(reader: &mut Reader<'_>) -> Result<Self, String> {
+        let (mut hash, mut point, mut trials, mut metrics) = (None, None, None, None);
+        reader.begin_object()?;
+        while let Some(key) = reader.next_key()? {
+            match &*key {
+                "cell" if hash.is_none() => match reader.value()? {
+                    Json::Str(text) => hash = Some(text),
+                    _ => return Err("record has no `cell` hash".into()),
+                },
+                "point" if point.is_none() => point = Some(read_u64(reader, "point")?),
+                "trials" if trials.is_none() => trials = Some(read_u64(reader, "trials")?),
+                "metrics" if metrics.is_none() => {
+                    let mut map = BTreeMap::new();
+                    reader
+                        .begin_object()
+                        .map_err(|_| "record has no `metrics` object")?;
+                    while let Some(name) = reader.next_key()? {
+                        let aggregate = MetricAggregate::read(reader)?;
+                        map.insert(name.into_owned(), aggregate);
+                    }
+                    metrics = Some(map);
+                }
+                _ => {
+                    reader.value()?;
+                }
+            }
+        }
         Ok(Self {
-            hash,
-            point,
-            trials,
-            metrics,
+            hash: hash.ok_or("record has no `cell` hash")?,
+            point: point.ok_or("missing or non-integer `point`")?,
+            trials: u32::try_from(trials.ok_or("missing or non-integer `trials`")?)
+                .map_err(|_| "`trials` does not fit in u32")?,
+            metrics: metrics.ok_or("record has no `metrics` object")?,
         })
     }
 }
@@ -310,6 +389,15 @@ mod tests {
             })
             .collect();
         CellRecord::from_trials("00ff00ff00ff00ff".into(), 42, &trials)
+    }
+
+    fn round_trip(aggregate: &MetricAggregate) -> MetricAggregate {
+        let mut text = String::new();
+        aggregate.write_json(&mut text);
+        let mut reader = Reader::new(&text);
+        let back = MetricAggregate::read(&mut reader).unwrap();
+        reader.finish().unwrap();
+        back
     }
 
     #[test]
@@ -345,7 +433,7 @@ mod tests {
         for i in 0..23 {
             original.observe(f64::from(i * i % 17));
         }
-        let mut restored = MetricAggregate::from_json(&original.to_json()).unwrap();
+        let mut restored = round_trip(&original);
         assert_eq!(restored, original);
         for i in 0..50 {
             original.observe(f64::from(i));
@@ -356,7 +444,7 @@ mod tests {
         let mut young = MetricAggregate::new();
         young.observe(3.5);
         young.observe(-1.0);
-        let back = MetricAggregate::from_json(&young.to_json()).unwrap();
+        let back = round_trip(&young);
         assert_eq!(back, young);
     }
 

@@ -453,14 +453,14 @@ impl ReportRunner {
 /// reports for the members it never reached.
 fn status_only(member: &SweepSpec, store: Option<&SweepStore>) -> Result<SweepOutcome, SweepError> {
     let grid = member.expand()?;
-    let persisted = match store {
+    let mut persisted = match store {
         Some(store) => store.load_cells()?,
         None => std::collections::BTreeMap::new(),
     };
     let mut cells = Vec::new();
-    for cell in &grid {
-        if let Some(record) = persisted.get(&cell.hash_hex()) {
-            cells.push(record.clone());
+    if !persisted.is_empty() {
+        for cell in &grid {
+            cells.extend(persisted.remove(&cell.hash_hex()));
         }
     }
     let skipped = cells.len();

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use crate::aggregate::CellRecord;
 use crate::error::SweepError;
-use crate::json::{parse, Json};
+use crate::json::{parse, write_str, Json};
 use crate::spec::{ScenarioSpec, SweepSpec};
 
 /// Pairs every grid cell with its persisted record, in grid order.
@@ -131,26 +131,29 @@ pub fn export_csv(cells: &[(ScenarioSpec, CellRecord)]) -> String {
 
 /// Renders the lossless JSON export: sweep identity plus every cell's full
 /// aggregate state (spec echo included).
+///
+/// Each cell's canonical spec text and record line are spliced into the one
+/// output buffer: the document is exactly the canonical serialization of
+/// its tree, without building the tree.
 #[must_use]
 pub fn export_json(spec: &SweepSpec, cells: &[(ScenarioSpec, CellRecord)]) -> String {
-    let cell_docs: Vec<Json> = cells
-        .iter()
-        .map(|(cell_spec, record)| {
-            Json::object(vec![
-                ("spec".into(), cell_spec.canonical_json()),
-                (
-                    "record".into(),
-                    parse(&record.to_json_line()).expect("records serialize to valid JSON"),
-                ),
-            ])
-        })
-        .collect();
-    Json::object(vec![
-        ("name".into(), Json::Str(spec.name.clone())),
-        ("sweep_hash".into(), Json::Str(spec.hash_hex())),
-        ("cells".into(), Json::Array(cell_docs)),
-    ])
-    .to_string()
+    let mut out = String::from("{\"name\":");
+    write_str(&mut out, &spec.name);
+    out.push_str(",\"sweep_hash\":");
+    write_str(&mut out, &spec.hash_hex());
+    out.push_str(",\"cells\":[");
+    for (i, (cell_spec, record)) in cells.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"spec\":");
+        cell_spec.write_canonical(&mut out);
+        out.push_str(",\"record\":");
+        record.write_json_line(&mut out);
+        out.push('}');
+    }
+    out.push_str("]}");
+    out
 }
 
 /// Parses an [`export_json`] document back into `(spec, record)` pairs —

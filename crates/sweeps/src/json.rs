@@ -14,7 +14,14 @@
 //!    hashing and byte-identical resume possible.
 //! 3. **Small surface.**  Only what the sweep store needs: no comments, no
 //!    trailing commas, UTF-8 strings with the standard escapes.
+//!
+//! Hot records (the shard store's cell lines, spec hashes, exports) skip the
+//! tree: they write through the scalar writers (`write_f64`, `write_u64`,
+//! `write_str`) that [`Json`]'s own writer uses, and read through the pull
+//! `Reader`, which walks the same lexer as [`parse`] and so accepts exactly
+//! the same documents.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -100,26 +107,12 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::UInt(v) => {
-                let _ = write!(out, "{v}");
-            }
+            Json::UInt(v) => write_u64(out, *v),
             Json::Int(v) => {
                 let _ = write!(out, "{v}");
             }
-            Json::Float(v) => {
-                if v.is_finite() {
-                    // `{:?}` is Rust's shortest round-trip float form; it
-                    // always contains a `.` or an exponent, so the parser can
-                    // tell it apart from the integer variants.
-                    let _ = write!(out, "{v:?}");
-                } else {
-                    // JSON has no non-finite literals; `null` keeps the
-                    // document well-formed (sweeps never emit non-finite
-                    // metrics, so this is a guard, not a code path).
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
+            Json::Float(v) => write_f64(out, *v),
+            Json::Str(s) => write_str(out, s),
             Json::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -136,7 +129,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(out, key);
+                    write_str(out, key);
                     out.push(':');
                     value.write(out);
                 }
@@ -156,21 +149,66 @@ impl std::fmt::Display for Json {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Writes a JSON number for a float: Rust's shortest round-trip form
+/// (`{:?}`), which always contains a `.` or an exponent, so the parser can
+/// tell it apart from the integer variants.  JSON has no non-finite
+/// literals; `null` keeps the document well-formed (sweeps never emit
+/// non-finite metrics, so this is a guard, not a code path).
+pub(crate) fn write_f64(out: &mut String, v: f64) {
+    if v.fract() == 0.0 && v.abs() < 1e16 {
+        // What `{:?}` prints for an integral float below 1e16 (signed zero
+        // included): the integer digits and `.0`, without the digit search.
+        if v.is_sign_negative() {
+            out.push('-');
+        }
+        write_u64(out, v.abs() as u64);
+        out.push_str(".0");
+    } else if v.is_finite() {
+        let _ = write!(out, "{v:?}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Writes a JSON number for an unsigned integer.
+pub(crate) fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+/// Writes a JSON string literal with the standard escapes.
+pub(crate) fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    // Every escaped character is ASCII, so a byte scan finds them all and
+    // the runs between them stay on character boundaries.
+    let mut plain = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+    }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
@@ -181,17 +219,120 @@ fn write_escaped(out: &mut String, s: &str) {
 ///
 /// Returns a message with the byte offset of the first syntax error.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut parser = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_ws();
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(format!("trailing data at byte {}", parser.pos));
-    }
+    let mut reader = Reader::new(input);
+    let value = reader.value()?;
+    reader.finish()?;
     Ok(value)
+}
+
+/// A pull reader over one JSON document: the caller walks objects and
+/// arrays token by token and takes values where it expects them, so a typed
+/// record parses without building a [`Json`] tree for its containers.
+///
+/// [`parse`] is this reader taking one whole value, and `begin_*`/`next_*`
+/// lex containers exactly as that does, so a caller that walks a document
+/// to its end (taking the members it skips with [`Reader::value`]) accepts
+/// it exactly when [`parse`] does.
+pub(crate) struct Reader<'a> {
+    parser: Parser<'a>,
+    /// Set by `begin_*`: the container just opened has no member yet, so
+    /// the next `next_*` call accepts a closing bracket but no comma.  One
+    /// flag suffices because a nested container is always walked to its end
+    /// before its parent's next member.
+    opened: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader positioned before the document's single value.
+    #[must_use]
+    pub(crate) fn new(input: &'a str) -> Self {
+        Self {
+            parser: Parser {
+                bytes: input.as_bytes(),
+                pos: 0,
+            },
+            opened: false,
+        }
+    }
+
+    /// Enters an object (`{`).
+    pub(crate) fn begin_object(&mut self) -> Result<(), String> {
+        self.parser.skip_ws();
+        self.parser.expect(b'{')?;
+        self.opened = true;
+        Ok(())
+    }
+
+    /// The next key of the current object (positioned before its value), or
+    /// `None` after the closing `}`.  Keys without escapes borrow the input.
+    pub(crate) fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        let p = &mut self.parser;
+        p.skip_ws();
+        match p.peek() {
+            Some(b'}') => {
+                p.pos += 1;
+                self.opened = false;
+                return Ok(None);
+            }
+            Some(b',') if !self.opened => {
+                p.pos += 1;
+                p.skip_ws();
+            }
+            _ if self.opened => {}
+            _ => return Err(format!("expected `,` or `}}` at byte {}", p.pos)),
+        }
+        self.opened = false;
+        let key = p.string_cow()?;
+        p.skip_ws();
+        p.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Enters an array (`[`).
+    pub(crate) fn begin_array(&mut self) -> Result<(), String> {
+        self.parser.skip_ws();
+        self.parser.expect(b'[')?;
+        self.opened = true;
+        Ok(())
+    }
+
+    /// Whether the current array has another item (then positioned before
+    /// it); `false` after the closing `]`.
+    pub(crate) fn next_item(&mut self) -> Result<bool, String> {
+        let p = &mut self.parser;
+        p.skip_ws();
+        let opened = std::mem::take(&mut self.opened);
+        match p.peek() {
+            Some(b']') => {
+                p.pos += 1;
+                Ok(false)
+            }
+            Some(b',') if !opened => {
+                p.pos += 1;
+                Ok(true)
+            }
+            _ if opened => Ok(true),
+            _ => Err(format!("expected `,` or `]` at byte {}", p.pos)),
+        }
+    }
+
+    /// Reads the next whole value.  Scalars come back without allocation
+    /// (strings excepted); a container comes back as a tree, which is how a
+    /// caller skips a member it does not use.
+    pub(crate) fn value(&mut self) -> Result<Json, String> {
+        self.parser.skip_ws();
+        self.parser.value()
+    }
+
+    /// Ends the document: only whitespace may follow the value.
+    pub(crate) fn finish(mut self) -> Result<(), String> {
+        self.parser.skip_ws();
+        if self.parser.pos == self.parser.bytes.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing data at byte {}", self.parser.pos))
+        }
+    }
 }
 
 struct Parser<'a> {
@@ -199,7 +340,7 @@ struct Parser<'a> {
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -305,6 +446,27 @@ impl Parser<'_> {
         }
     }
 
+    /// A string literal, borrowed from the input when it has no escapes.
+    fn string_cow(&mut self) -> Result<Cow<'a, str>, String> {
+        let open = self.pos;
+        self.expect(b'"')?;
+        let start = self.pos;
+        while let Some(&b) = self.bytes.get(self.pos) {
+            if b == b'"' || b == b'\\' || b < 0x20 {
+                break;
+            }
+            self.pos += 1;
+        }
+        if self.peek() == Some(b'"') {
+            let text = std::str::from_utf8(&self.bytes[start..self.pos])
+                .map_err(|_| format!("invalid UTF-8 in string at byte {start}"))?;
+            self.pos += 1;
+            return Ok(Cow::Borrowed(text));
+        }
+        self.pos = open;
+        self.string().map(Cow::Owned)
+    }
+
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
@@ -402,8 +564,13 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number bytes".to_string())?;
+        let bytes = &self.bytes[start..self.pos];
+        if is_float {
+            if let Some(v) = short_decimal(bytes) {
+                return Ok(Json::Float(v));
+            }
+        }
+        let text = std::str::from_utf8(bytes).map_err(|_| "invalid number bytes".to_string())?;
         if !is_float {
             if text.starts_with('-') {
                 if let Ok(v) = text.parse::<i64>() {
@@ -418,6 +585,34 @@ impl Parser<'_> {
             .map(Json::Float)
             .map_err(|_| format!("invalid number `{text}` at byte {start}"))
     }
+}
+
+/// The value of a plain decimal `-?d+.d+` with at most 15 digits, or `None`
+/// for any other number text.  Both the digits and the power of ten are
+/// exact doubles, so the one division rounds correctly: the result is
+/// bit-identical to `str::parse::<f64>`, without its general algorithm.
+fn short_decimal(text: &[u8]) -> Option<f64> {
+    const POW10: [f64; 16] = [
+        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+    ];
+    let (negative, digits) = match text {
+        [b'-', rest @ ..] => (true, rest),
+        _ => (false, text),
+    };
+    let dot = digits.iter().position(|&b| b == b'.')?;
+    let (whole, fraction) = (&digits[..dot], &digits[dot + 1..]);
+    if whole.is_empty() || fraction.is_empty() || whole.len() + fraction.len() > 15 {
+        return None;
+    }
+    let mut mantissa = 0u64;
+    for &b in whole.iter().chain(fraction) {
+        if !b.is_ascii_digit() {
+            return None;
+        }
+        mantissa = mantissa * 10 + u64::from(b - b'0');
+    }
+    let magnitude = mantissa as f64 / POW10[fraction.len()];
+    Some(if negative { -magnitude } else { magnitude })
 }
 
 #[cfg(test)]
@@ -448,6 +643,109 @@ mod tests {
             let text = Json::Float(v).to_string();
             let back = parse(&text).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "{v} via `{text}`");
+        }
+    }
+
+    #[test]
+    fn scalar_fast_paths_match_the_general_algorithms() {
+        // Integral floats, signed zeros, the 1e16 switch to exponent form,
+        // and random bit patterns, formatted and read back.
+        let mut values = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -7.0,
+            1e15,
+            9_999_999_999_999_998.0,
+            1e16,
+            -1e16,
+            2f64.powi(53),
+            0.1,
+            -2.8,
+            1e-5,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            values.push(f64::from_bits(x));
+            values.push((x % 2_000_001) as f64 / 8.0 - 125_000.0);
+            values.push((x >> 10) as f64);
+        }
+        for v in values.into_iter().filter(|v| v.is_finite()) {
+            let mut text = String::new();
+            write_f64(&mut text, v);
+            assert_eq!(text, format!("{v:?}"));
+            let back = parse(&text).unwrap().as_f64().unwrap();
+            assert_eq!(back.to_bits(), v.to_bits(), "{text}");
+        }
+        for v in [0, 9, 10, 1234567890, u64::MAX] {
+            let mut text = String::new();
+            write_u64(&mut text, v);
+            assert_eq!(text, v.to_string());
+        }
+        // Short decimals, including ones `{:?}` never writes.
+        for text in [
+            "0.0",
+            "-0.0",
+            "01.5",
+            "3.14159",
+            "-2.000000000001",
+            "999999999999.999",
+        ] {
+            let fast = short_decimal(text.as_bytes()).unwrap();
+            assert_eq!(
+                fast.to_bits(),
+                text.parse::<f64>().unwrap().to_bits(),
+                "{text}"
+            );
+        }
+        for text in ["1.", "-.5", "1e5", "1.5e3", "0.1234567890123456", "1-2.3"] {
+            assert_eq!(short_decimal(text.as_bytes()), None, "{text}");
+        }
+    }
+
+    #[test]
+    fn reader_walks_containers_and_rejects_what_parse_rejects() {
+        let mut reader = Reader::new(" {\"n\" : [1, 2.5] , \"s\":\"x\\ty\"} ");
+        reader.begin_object().unwrap();
+        assert_eq!(reader.next_key().unwrap().as_deref(), Some("n"));
+        reader.begin_array().unwrap();
+        let mut sum = 0.0;
+        while reader.next_item().unwrap() {
+            sum += reader.value().unwrap().as_f64().unwrap();
+        }
+        assert_eq!(sum, 3.5);
+        assert_eq!(reader.next_key().unwrap().as_deref(), Some("s"));
+        assert_eq!(reader.value().unwrap().as_str(), Some("x\ty"));
+        assert_eq!(reader.next_key().unwrap(), None);
+        reader.finish().unwrap();
+
+        // Each of these fails `parse`; walking it as an object of arrays
+        // must fail too.
+        for bad in [
+            "{\"a\":[1,]}",
+            "{\"a\":[1 2]}",
+            "{\"a\" [1]}",
+            "{,}",
+            "{\"a\":[]} x",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+            let walk = |text| -> Result<(), String> {
+                let mut reader = Reader::new(text);
+                reader.begin_object()?;
+                while reader.next_key()?.is_some() {
+                    reader.begin_array()?;
+                    while reader.next_item()? {
+                        reader.value()?;
+                    }
+                }
+                reader.finish()
+            };
+            assert!(walk(bad).is_err(), "{bad}");
         }
     }
 

@@ -151,17 +151,32 @@ impl SweepRunner {
         for cell in &grid {
             registry.resolve(cell)?;
         }
-        let persisted = match store {
+        let mut persisted = match store {
             Some(store) => store.load_cells()?,
             None => std::collections::BTreeMap::new(),
         };
 
-        let pending: Vec<(usize, &ScenarioSpec)> = grid
-            .iter()
-            .enumerate()
-            .filter(|(_, cell)| !persisted.contains_key(&cell.hash_hex()))
-            .take(self.max_cells.unwrap_or(usize::MAX))
-            .collect();
+        // Each cell is hashed at most once, and only when its address is
+        // needed: to look it up among persisted records, or to address its
+        // fresh record.  With nothing persisted there is nothing to look up,
+        // so a first run hashes no cell before its first trial.
+        let limit = self.max_cells.unwrap_or(usize::MAX);
+        let mut hashes: Vec<Option<String>> = vec![None; grid.len()];
+        let mut pending: Vec<usize> = Vec::new();
+        for (index, cell) in grid.iter().enumerate() {
+            if pending.len() == limit {
+                break;
+            }
+            if !persisted.is_empty() {
+                let hash = cell.hash_hex();
+                let done = persisted.contains_key(&hash);
+                hashes[index] = Some(hash);
+                if done {
+                    continue;
+                }
+            }
+            pending.push(index);
+        }
         let skipped = persisted.len().min(grid.len());
 
         let outer = self.threads.min(pending.len()).max(1);
@@ -189,6 +204,8 @@ impl SweepRunner {
         // not burn hours finishing the other 997 before reporting.
         let abort = AtomicBool::new(false);
         let pending_ref = &pending;
+        let grid_ref = &grid;
+        let hashes_ref = &hashes;
         let next_ref = &next;
         let abort_ref = &abort;
         let sweep_hub_ref = sweep_hub.as_ref();
@@ -205,12 +222,13 @@ impl SweepRunner {
                     scope.spawn(move || {
                         let mut mine: Vec<(usize, CellRecord)> = Vec::new();
                         let run = |cell: &ScenarioSpec,
+                                   hash: String,
                                    shard: Option<&mut ShardWriter>,
                                    tele_shard: Option<&mut TelemetryShardWriter>|
                          -> Result<CellRecord, SweepError> {
                             let cell_start = Instant::now();
                             let hub = telemetry_on.then(TelemetryHub::new);
-                            let record = run_cell(cell, registry, inner, hub.as_ref())?;
+                            let record = run_cell(cell, hash, registry, inner, hub.as_ref())?;
                             // The result record is the checkpoint; telemetry
                             // rides behind it so a kill in between loses a
                             // profile, never duplicates one.
@@ -246,10 +264,14 @@ impl SweepRunner {
                                 return Ok(mine);
                             }
                             let slot = next_ref.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(grid_index, cell)) = pending_ref.get(slot) else {
+                            let Some(&grid_index) = pending_ref.get(slot) else {
                                 return Ok(mine);
                             };
-                            match run(cell, shard.as_mut(), tele_shard.as_mut()) {
+                            let cell = &grid_ref[grid_index];
+                            let hash = hashes_ref[grid_index]
+                                .clone()
+                                .unwrap_or_else(|| cell.hash_hex());
+                            match run(cell, hash, shard.as_mut(), tele_shard.as_mut()) {
                                 Ok(record) => mine.push((grid_index, record)),
                                 Err(err) => {
                                     abort_ref.store(true, Ordering::Relaxed);
@@ -282,8 +304,9 @@ impl SweepRunner {
         for (i, cell) in grid.iter().enumerate() {
             if let Some(record) = by_index.remove(&i) {
                 cells.push(record);
-            } else if let Some(record) = persisted.get(&cell.hash_hex()) {
-                cells.push(record.clone());
+            } else if !persisted.is_empty() {
+                let hash = hashes[i].take().unwrap_or_else(|| cell.hash_hex());
+                cells.extend(persisted.remove(&hash));
             }
         }
         let completed = cells.len() == grid.len();
@@ -305,7 +328,7 @@ impl Default for SweepRunner {
 }
 
 /// Runs every trial of one cell (fanning out over `inner_threads`) and folds
-/// the per-trial metrics into a record, in trial order.
+/// the per-trial metrics into a record addressed by `hash`, in trial order.
 ///
 /// Threads left over after the trial fan-out ([`TrialRunner::round_threads`])
 /// are granted to each trial as intra-round worker lanes, so a cell with few
@@ -313,6 +336,7 @@ impl Default for SweepRunner {
 /// `trial_workers × round_threads` never exceeds `inner_threads`.
 fn run_cell(
     cell: &ScenarioSpec,
+    hash: String,
     registry: &ProtocolRegistry,
     inner_threads: usize,
     hub: Option<&TelemetryHub>,
@@ -330,11 +354,7 @@ fn run_cell(
     for result in results {
         trials.push(result?);
     }
-    Ok(CellRecord::from_trials(
-        cell.hash_hex(),
-        cell.point,
-        &trials,
-    ))
+    Ok(CellRecord::from_trials(hash, cell.point, &trials))
 }
 
 #[cfg(test)]

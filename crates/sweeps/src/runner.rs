@@ -1,6 +1,8 @@
 //! A deterministic multi-trial runner that fans independent simulations out
 //! over threads.
 
+use std::sync::OnceLock;
+
 /// The environment variable that caps worker threads for every
 /// [`TrialRunner`] (and, transitively, every sweep): `FLIP_THREADS=4` limits
 /// fan-out to four workers machine-wide without touching any command line.
@@ -16,14 +18,24 @@ pub const THREADS_ENV: &str = "FLIP_THREADS";
 #[must_use]
 pub fn threads_from_env(value: Option<&str>) -> usize {
     match value {
-        None => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
+        None => machine_width(),
         Some(raw) => match raw.trim().parse::<usize>() {
             Ok(n) if n >= 1 => n,
             _ => panic!("invalid {THREADS_ENV} value `{raw}`: expected an integer >= 1"),
         },
     }
+}
+
+/// The machine's available parallelism, probed once per process: the probe
+/// reads the cgroup and affinity state, which costs more than a whole small
+/// cell's bookkeeping, and [`TrialRunner::new`] asks for it once per cell.
+fn machine_width() -> usize {
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// The default worker-thread count: the `FLIP_THREADS` environment override

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use flip_model::{Backend, SimRng};
 
 use crate::error::SweepError;
-use crate::json::{parse, Json};
+use crate::json::{parse, write_f64, write_str, write_u64, Json};
 
 /// One cell of a sweep: a fully resolved, hash-addressable scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,42 +105,53 @@ impl ScenarioSpec {
         SimRng::stream_seed(SimRng::stream_seed(self.base_seed, self.point), trial)
     }
 
-    /// The canonical JSON form: fixed field order, sorted params.  The
-    /// `faults` field appears only when non-empty, keeping fault-free specs
-    /// hash-stable with pre-fault builds.
+    /// The canonical JSON text: fixed field order, sorted params, one line.
+    /// The `faults` field appears only when non-empty, keeping fault-free
+    /// specs hash-stable with pre-fault builds.
     #[must_use]
-    pub fn canonical_json(&self) -> Json {
-        let mut fields = vec![
-            ("protocol".into(), Json::Str(self.protocol.clone())),
-            ("backend".into(), Json::Str(self.backend.to_string())),
-            ("trials".into(), Json::UInt(u64::from(self.trials))),
-            ("base_seed".into(), Json::UInt(self.base_seed)),
-            ("point".into(), Json::UInt(self.point)),
-            ("rounds".into(), Json::UInt(self.rounds)),
-        ];
-        if !self.faults.is_empty() {
-            fields.push(("faults".into(), Json::Str(self.faults.clone())));
-        }
-        fields.push((
-            "params".into(),
-            Json::Object(
-                self.params
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Float(*v)))
-                    .collect(),
-            ),
-        ));
-        Json::object(fields)
+    pub fn canonical_text(&self) -> String {
+        let mut out = String::new();
+        self.write_canonical(&mut out);
+        out
     }
 
-    /// The cell's address: FNV-1a (64-bit) over the canonical JSON, as 16
-    /// hex digits.
+    /// Appends [`ScenarioSpec::canonical_text`] to `out` (the JSON export
+    /// splices it straight into its document).
+    pub(crate) fn write_canonical(&self, out: &mut String) {
+        out.push_str("{\"protocol\":");
+        write_str(out, &self.protocol);
+        out.push_str(",\"backend\":");
+        write_str(out, &self.backend.to_string());
+        for (key, value) in [
+            (",\"trials\":", u64::from(self.trials)),
+            (",\"base_seed\":", self.base_seed),
+            (",\"point\":", self.point),
+            (",\"rounds\":", self.rounds),
+        ] {
+            out.push_str(key);
+            write_u64(out, value);
+        }
+        if !self.faults.is_empty() {
+            out.push_str(",\"faults\":");
+            write_str(out, &self.faults);
+        }
+        out.push_str(",\"params\":{");
+        for (i, (key, value)) in self.params.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_str(out, key);
+            out.push(':');
+            write_f64(out, *value);
+        }
+        out.push_str("}}");
+    }
+
+    /// The cell's address: FNV-1a (64-bit) over the canonical JSON text, as
+    /// 16 hex digits.
     #[must_use]
     pub fn hash_hex(&self) -> String {
-        format!(
-            "{:016x}",
-            fnv1a(self.canonical_json().to_string().as_bytes())
-        )
+        format!("{:016x}", fnv1a(self.canonical_text().as_bytes()))
     }
 
     /// Parses a cell from its canonical JSON form.
@@ -601,7 +612,7 @@ mod tests {
     #[test]
     fn scenario_json_round_trips() {
         let cell = demo_sweep().expand().unwrap().pop().unwrap();
-        let parsed = ScenarioSpec::from_json(&cell.canonical_json()).unwrap();
+        let parsed = ScenarioSpec::from_json(&parse(&cell.canonical_text()).unwrap()).unwrap();
         assert_eq!(parsed, cell);
         assert_eq!(parsed.hash_hex(), cell.hash_hex());
     }
@@ -634,7 +645,7 @@ mod tests {
         let spec = demo_sweep();
         assert!(!spec.to_json().to_string().contains("\"faults\""));
         let cell = &spec.expand().unwrap()[0];
-        assert!(!cell.canonical_json().to_string().contains("\"faults\""));
+        assert!(!cell.canonical_text().contains("\"faults\""));
         // ... and round-trip back to empty.
         let parsed = SweepSpec::from_json_text(&spec.to_json().to_string()).unwrap();
         assert_eq!(parsed.faults, "");
@@ -669,7 +680,7 @@ mod tests {
         let parsed = SweepSpec::from_json_text(&spec.to_json().to_string()).unwrap();
         assert_eq!(parsed.backend, Backend::Hybrid(64));
         let cell = &spec.expand().unwrap()[0];
-        let reparsed = ScenarioSpec::from_json(&cell.canonical_json()).unwrap();
+        let reparsed = ScenarioSpec::from_json(&parse(&cell.canonical_text()).unwrap()).unwrap();
         assert_eq!(reparsed.backend, Backend::Hybrid(64));
     }
 

@@ -6,14 +6,14 @@
 //! out/
 //!   manifest.json          # {"format":1,"sweep_hash":"…","spec":{…}}
 //!   shards/
-//!     shard-0001-00.jsonl  # one CellRecord per line, appended + flushed
-//!     shard-0001-01.jsonl  #   as cells complete (generation 1, worker 1)
+//!     shard-0001-00.jsonl  # one CellRecord per line, each appended in one
+//!     shard-0001-01.jsonl  #   write as its cell completes (gen 1, worker 1)
 //!     shard-0002-00.jsonl  # a resumed run appends a new generation
 //! ```
 //!
 //! Each worker thread owns one shard file per run *generation*, so no line is
 //! ever written concurrently and no lock guards the hot path.  A completed
-//! cell is checkpointed by appending its record and flushing; a run killed
+//! cell is checkpointed by appending its record in one write; a run killed
 //! mid-write leaves at most a torn **final** line per shard, which the loader
 //! drops (the cell simply re-runs on resume).  Because every record is a
 //! deterministic function of its hash-addressed spec, re-running loses
@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 
 use crate::aggregate::CellRecord;
@@ -120,42 +120,11 @@ impl SweepStore {
     /// Returns [`SweepError::Io`] on read failures, [`SweepError::Store`]
     /// on mid-file corruption.
     pub fn load_cells(&self) -> Result<BTreeMap<String, CellRecord>, SweepError> {
-        let mut cells = BTreeMap::new();
-        let shards_dir = self.dir.join("shards");
-        let mut paths: Vec<PathBuf> = fs::read_dir(&shards_dir)?
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|entry| entry.path())
-            .filter(|p| p.extension().is_some_and(|ext| ext == "jsonl"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let content = fs::read_to_string(&path)?;
-            let lines: Vec<&str> = content.lines().collect();
-            for (i, line) in lines.iter().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match CellRecord::from_json_line(line) {
-                    Ok(record) => {
-                        cells.insert(record.hash.clone(), record);
-                    }
-                    Err(err) if i + 1 == lines.len() && !content.ends_with('\n') => {
-                        // Torn final line from a killed writer: the cell
-                        // never checkpointed, so resuming re-runs it.
-                        let _ = err;
-                    }
-                    Err(err) => {
-                        return Err(SweepError::Store(format!(
-                            "{}:{}: {err}",
-                            path.display(),
-                            i + 1
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(cells)
+        load_jsonl(
+            &self.dir.join("shards"),
+            CellRecord::from_json_line,
+            |record| record.hash.clone(),
+        )
     }
 
     /// Opens one shard writer per worker for a new run generation.
@@ -168,8 +137,9 @@ impl SweepStore {
         let generation = next_generation(&shards_dir, "shard-")?;
         Ok((0..workers)
             .map(|worker| ShardWriter {
-                path: shards_dir.join(format!("shard-{generation:04}-{worker:02}.jsonl")),
-                file: None,
+                file: JsonlFile::new(
+                    shards_dir.join(format!("shard-{generation:04}-{worker:02}.jsonl")),
+                ),
             })
             .collect())
     }
@@ -193,8 +163,9 @@ impl SweepStore {
         let generation = next_generation(&telemetry_dir, "telemetry-")?;
         Ok((0..workers)
             .map(|worker| TelemetryShardWriter {
-                path: telemetry_dir.join(format!("telemetry-{generation:04}-{worker:02}.jsonl")),
-                file: None,
+                file: JsonlFile::new(
+                    telemetry_dir.join(format!("telemetry-{generation:04}-{worker:02}.jsonl")),
+                ),
             })
             .collect())
     }
@@ -210,48 +181,67 @@ impl SweepStore {
     /// Returns [`SweepError::Io`] on read failures, [`SweepError::Store`]
     /// on mid-file corruption.
     pub fn load_telemetry(&self) -> Result<BTreeMap<String, CellTelemetry>, SweepError> {
-        let mut cells = BTreeMap::new();
         let telemetry_dir = self.dir.join("telemetry");
         if !telemetry_dir.is_dir() {
-            return Ok(cells);
+            return Ok(BTreeMap::new());
         }
-        let mut paths: Vec<PathBuf> = fs::read_dir(&telemetry_dir)?
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|entry| entry.path())
-            .filter(|p| p.extension().is_some_and(|ext| ext == "jsonl"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let content = fs::read_to_string(&path)?;
-            let lines: Vec<&str> = content.lines().collect();
-            for (i, line) in lines.iter().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match CellTelemetry::from_json_line(line) {
-                    Ok(record) => {
-                        cells.insert(record.hash.clone(), record);
-                    }
-                    Err(err) if i + 1 == lines.len() && !content.ends_with('\n') => {
-                        // Torn final line from a killed writer: that cell's
-                        // profile is simply missing, never fatal.
-                        let _ = err;
-                    }
-                    Err(err) => {
-                        return Err(SweepError::Store(format!(
-                            "{}:{}: {err}",
-                            path.display(),
-                            i + 1
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(cells)
+        load_jsonl(&telemetry_dir, CellTelemetry::from_json_line, |record| {
+            record.hash.clone()
+        })
     }
 }
 
+/// Reads every `*.jsonl` file in `dir`, in sorted filename order, one line
+/// at a time, keying each parsed line by `key` (a later duplicate replaces
+/// an earlier one).  Blank lines are skipped.  A line that fails to parse
+/// is dropped when it is the file's last and has no newline — the torn
+/// tail of a killed writer, whose record never checkpointed — and is a
+/// [`SweepError::Store`] naming the file and line anywhere else.
+fn load_jsonl<T, E: std::fmt::Display>(
+    dir: &Path,
+    parse: impl Fn(&str) -> Result<T, E>,
+    key: impl Fn(&T) -> String,
+) -> Result<BTreeMap<String, T>, SweepError> {
+    let mut paths: Vec<PathBuf> = fs::read_dir(dir)?
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .map(|entry| entry.path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "jsonl"))
+        .collect();
+    paths.sort();
+    let mut items = BTreeMap::new();
+    let mut buf = String::new();
+    for path in paths {
+        let mut reader = BufReader::new(fs::File::open(&path)?);
+        for number in 1.. {
+            buf.clear();
+            if reader.read_line(&mut buf)? == 0 {
+                break;
+            }
+            // `str::lines` semantics: a `\r` is stripped only before a `\n`.
+            let (line, torn) = match buf.strip_suffix('\n') {
+                Some(line) => (line.strip_suffix('\r').unwrap_or(line), false),
+                None => (buf.as_str(), true),
+            };
+            if line.trim().is_empty() {
+                continue;
+            }
+            match parse(line) {
+                Ok(item) => {
+                    items.insert(key(&item), item);
+                }
+                Err(_) if torn => {}
+                Err(err) => {
+                    return Err(SweepError::Store(format!(
+                        "{}:{number}: {err}",
+                        path.display()
+                    )));
+                }
+            }
+        }
+    }
+    Ok(items)
+}
 /// One past the highest run generation among `prefix`-named files in `dir`.
 fn next_generation(dir: &Path, prefix: &str) -> Result<u64, SweepError> {
     let mut generation = 0u64;
@@ -275,76 +265,88 @@ fn next_generation(dir: &Path, prefix: &str) -> Result<u64, SweepError> {
 /// receive a cell leave no empty shard behind.
 #[derive(Debug)]
 pub struct ShardWriter {
-    path: PathBuf,
-    file: Option<BufWriter<fs::File>>,
+    file: JsonlFile,
 }
 
 impl ShardWriter {
-    /// Appends one completed cell and flushes — the checkpoint that makes a
-    /// kill at any later instant lose at most the in-flight cells.
+    /// Appends one completed cell in a single write — the checkpoint that
+    /// makes a kill at any later instant lose at most the in-flight cells.
     ///
     /// # Errors
     ///
     /// Returns [`SweepError::Io`] on write failures.
     pub fn append(&mut self, record: &CellRecord) -> Result<(), SweepError> {
-        if self.file.is_none() {
-            self.file = Some(BufWriter::new(
-                fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&self.path)?,
-            ));
-        }
-        let file = self.file.as_mut().expect("just created");
-        file.write_all(record.to_json_line().as_bytes())?;
-        file.write_all(b"\n")?;
-        file.flush()?;
-        Ok(())
+        self.file.append(|line| record.write_json_line(line))
     }
 
     /// The shard's path (for diagnostics).
     #[must_use]
     pub fn path(&self) -> &Path {
-        &self.path
+        &self.file.path
     }
 }
 
 /// An append-only writer for one telemetry shard file.
 ///
-/// Same lifecycle as [`ShardWriter`]: lazy creation, append + flush per
-/// record, so a kill leaves at most one torn final line.
+/// Same lifecycle as [`ShardWriter`]: lazy creation, one write per record,
+/// so a kill leaves at most one torn final line.
 #[derive(Debug)]
 pub struct TelemetryShardWriter {
-    path: PathBuf,
-    file: Option<BufWriter<fs::File>>,
+    file: JsonlFile,
 }
 
 impl TelemetryShardWriter {
-    /// Appends one cell's telemetry record and flushes.
+    /// Appends one cell's telemetry record.
     ///
     /// # Errors
     ///
     /// Returns [`SweepError::Io`] on write failures.
     pub fn append(&mut self, record: &CellTelemetry) -> Result<(), SweepError> {
-        if self.file.is_none() {
-            self.file = Some(BufWriter::new(
-                fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&self.path)?,
-            ));
-        }
-        let file = self.file.as_mut().expect("just created");
-        file.write_all(record.to_json_line().as_bytes())?;
-        file.write_all(b"\n")?;
-        file.flush()?;
-        Ok(())
+        self.file
+            .append(|line| line.push_str(&record.to_json_line()))
     }
 
     /// The shard's path (for diagnostics).
     #[must_use]
     pub fn path(&self) -> &Path {
-        &self.path
+        &self.file.path
+    }
+}
+
+/// One JSONL file that records are appended to, each line in a single
+/// unbuffered write; the file is created on the first append.
+#[derive(Debug)]
+struct JsonlFile {
+    path: PathBuf,
+    file: Option<fs::File>,
+    /// The line being written, reused across appends.
+    line: String,
+}
+
+impl JsonlFile {
+    fn new(path: PathBuf) -> Self {
+        Self {
+            path,
+            file: None,
+            line: String::new(),
+        }
+    }
+
+    fn append(&mut self, write: impl FnOnce(&mut String)) -> Result<(), SweepError> {
+        self.line.clear();
+        write(&mut self.line);
+        self.line.push('\n');
+        let file = match &mut self.file {
+            Some(file) => file,
+            None => self.file.insert(
+                fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&self.path)?,
+            ),
+        };
+        file.write_all(self.line.as_bytes())?;
+        Ok(())
     }
 }
 
