@@ -191,12 +191,11 @@ impl SweepStore {
     }
 }
 
-/// Reads every `*.jsonl` file in `dir`, in sorted filename order, one line
-/// at a time, keying each parsed line by `key` (a later duplicate replaces
-/// an earlier one).  Blank lines are skipped.  A line that fails to parse
-/// is dropped when it is the file's last and has no newline — the torn
-/// tail of a killed writer, whose record never checkpointed — and is a
-/// [`SweepError::Store`] naming the file and line anywhere else.
+/// Reads every `*.jsonl` file in `dir` (sorted by name) line by line,
+/// keying each parsed line by `key`; a later duplicate replaces an earlier
+/// one.  A torn final line (no newline, from a killed writer) is dropped; a
+/// malformed line anywhere else is a [`SweepError::Store`] naming the file
+/// and line.  Streaming keeps a whole shard file out of memory.
 fn load_jsonl<T, E: std::fmt::Display>(
     dir: &Path,
     parse: impl Fn(&str) -> Result<T, E>,
@@ -242,6 +241,7 @@ fn load_jsonl<T, E: std::fmt::Display>(
     }
     Ok(items)
 }
+
 /// One past the highest run generation among `prefix`-named files in `dir`.
 fn next_generation(dir: &Path, prefix: &str) -> Result<u64, SweepError> {
     let mut generation = 0u64;
