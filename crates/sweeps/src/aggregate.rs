@@ -355,7 +355,7 @@ impl CellRecord {
                         .map_err(|_| "record has no `metrics` object")?;
                     while let Some(name) = reader.next_key()? {
                         let aggregate = MetricAggregate::read(reader)?;
-                        map.insert(name.into_owned(), aggregate);
+                        map.insert(name, aggregate);
                     }
                     metrics = Some(map);
                 }

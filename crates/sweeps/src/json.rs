@@ -21,7 +21,6 @@
 //! `Reader`, which walks the same lexer as [`parse`] and so accepts exactly
 //! the same documents.
 
-use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -155,15 +154,7 @@ impl std::fmt::Display for Json {
 /// literals; `null` keeps the document well-formed (sweeps never emit
 /// non-finite metrics, so this is a guard, not a code path).
 pub(crate) fn write_f64(out: &mut String, v: f64) {
-    if v.fract() == 0.0 && v.abs() < 1e16 {
-        // What `{:?}` prints for an integral float below 1e16 (signed zero
-        // included): the integer digits and `.0`, without the digit search.
-        if v.is_sign_negative() {
-            out.push('-');
-        }
-        write_u64(out, v.abs() as u64);
-        out.push_str(".0");
-    } else if v.is_finite() {
+    if v.is_finite() {
         let _ = write!(out, "{v:?}");
     } else {
         out.push_str("null");
@@ -171,44 +162,26 @@ pub(crate) fn write_f64(out: &mut String, v: f64) {
 }
 
 /// Writes a JSON number for an unsigned integer.
-pub(crate) fn write_u64(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+pub(crate) fn write_u64(out: &mut String, v: u64) {
+    let _ = write!(out, "{v}");
 }
 
 /// Writes a JSON string literal with the standard escapes.
 pub(crate) fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    // Every escaped character is ASCII, so a byte scan finds them all and
-    // the runs between them stay on character boundaries.
-    let mut plain = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        if b != b'"' && b != b'\\' && b >= 0x20 {
-            continue;
-        }
-        out.push_str(&s[plain..i]);
-        plain = i + 1;
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                let _ = write!(out, "\\u{b:04x}");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
+            c => out.push(c),
         }
     }
-    out.push_str(&s[plain..]);
     out.push('"');
 }
 
@@ -264,8 +237,8 @@ impl<'a> Reader<'a> {
     }
 
     /// The next key of the current object (positioned before its value), or
-    /// `None` after the closing `}`.  Keys without escapes borrow the input.
-    pub(crate) fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+    /// `None` after the closing `}`.
+    pub(crate) fn next_key(&mut self) -> Result<Option<String>, String> {
         let p = &mut self.parser;
         p.skip_ws();
         match p.peek() {
@@ -282,7 +255,7 @@ impl<'a> Reader<'a> {
             _ => return Err(format!("expected `,` or `}}` at byte {}", p.pos)),
         }
         self.opened = false;
-        let key = p.string_cow()?;
+        let key = p.string()?;
         p.skip_ws();
         p.expect(b':')?;
         Ok(Some(key))
@@ -340,7 +313,7 @@ struct Parser<'a> {
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl Parser<'_> {
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -446,27 +419,6 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// A string literal, borrowed from the input when it has no escapes.
-    fn string_cow(&mut self) -> Result<Cow<'a, str>, String> {
-        let open = self.pos;
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'"' || b == b'\\' || b < 0x20 {
-                break;
-            }
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'"') {
-            let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| format!("invalid UTF-8 in string at byte {start}"))?;
-            self.pos += 1;
-            return Ok(Cow::Borrowed(text));
-        }
-        self.pos = open;
-        self.string().map(Cow::Owned)
-    }
-
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
@@ -564,13 +516,8 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let bytes = &self.bytes[start..self.pos];
-        if is_float {
-            if let Some(v) = short_decimal(bytes) {
-                return Ok(Json::Float(v));
-            }
-        }
-        let text = std::str::from_utf8(bytes).map_err(|_| "invalid number bytes".to_string())?;
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| "invalid number bytes".to_string())?;
         if !is_float {
             if text.starts_with('-') {
                 if let Ok(v) = text.parse::<i64>() {
@@ -585,34 +532,6 @@ impl<'a> Parser<'a> {
             .map(Json::Float)
             .map_err(|_| format!("invalid number `{text}` at byte {start}"))
     }
-}
-
-/// The value of a plain decimal `-?d+.d+` with at most 15 digits, or `None`
-/// for any other number text.  Both the digits and the power of ten are
-/// exact doubles, so the one division rounds correctly: the result is
-/// bit-identical to `str::parse::<f64>`, without its general algorithm.
-fn short_decimal(text: &[u8]) -> Option<f64> {
-    const POW10: [f64; 16] = [
-        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
-    ];
-    let (negative, digits) = match text {
-        [b'-', rest @ ..] => (true, rest),
-        _ => (false, text),
-    };
-    let dot = digits.iter().position(|&b| b == b'.')?;
-    let (whole, fraction) = (&digits[..dot], &digits[dot + 1..]);
-    if whole.is_empty() || fraction.is_empty() || whole.len() + fraction.len() > 15 {
-        return None;
-    }
-    let mut mantissa = 0u64;
-    for &b in whole.iter().chain(fraction) {
-        if !b.is_ascii_digit() {
-            return None;
-        }
-        mantissa = mantissa * 10 + u64::from(b - b'0');
-    }
-    let magnitude = mantissa as f64 / POW10[fraction.len()];
-    Some(if negative { -magnitude } else { magnitude })
 }
 
 #[cfg(test)]
@@ -643,68 +562,6 @@ mod tests {
             let text = Json::Float(v).to_string();
             let back = parse(&text).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "{v} via `{text}`");
-        }
-    }
-
-    #[test]
-    fn scalar_fast_paths_match_the_general_algorithms() {
-        // Integral floats, signed zeros, the 1e16 switch to exponent form,
-        // and random bit patterns, formatted and read back.
-        let mut values = vec![
-            0.0,
-            -0.0,
-            1.0,
-            -7.0,
-            1e15,
-            9_999_999_999_999_998.0,
-            1e16,
-            -1e16,
-            2f64.powi(53),
-            0.1,
-            -2.8,
-            1e-5,
-            f64::MAX,
-            f64::MIN_POSITIVE,
-        ];
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        for _ in 0..20_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            values.push(f64::from_bits(x));
-            values.push((x % 2_000_001) as f64 / 8.0 - 125_000.0);
-            values.push((x >> 10) as f64);
-        }
-        for v in values.into_iter().filter(|v| v.is_finite()) {
-            let mut text = String::new();
-            write_f64(&mut text, v);
-            assert_eq!(text, format!("{v:?}"));
-            let back = parse(&text).unwrap().as_f64().unwrap();
-            assert_eq!(back.to_bits(), v.to_bits(), "{text}");
-        }
-        for v in [0, 9, 10, 1234567890, u64::MAX] {
-            let mut text = String::new();
-            write_u64(&mut text, v);
-            assert_eq!(text, v.to_string());
-        }
-        // Short decimals, including ones `{:?}` never writes.
-        for text in [
-            "0.0",
-            "-0.0",
-            "01.5",
-            "3.14159",
-            "-2.000000000001",
-            "999999999999.999",
-        ] {
-            let fast = short_decimal(text.as_bytes()).unwrap();
-            assert_eq!(
-                fast.to_bits(),
-                text.parse::<f64>().unwrap().to_bits(),
-                "{text}"
-            );
-        }
-        for text in ["1.", "-.5", "1e5", "1.5e3", "0.1234567890123456", "1-2.3"] {
-            assert_eq!(short_decimal(text.as_bytes()), None, "{text}");
         }
     }
 
